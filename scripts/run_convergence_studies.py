@@ -38,7 +38,6 @@ def main(argv=None) -> int:
     ap.add_argument("studies", nargs="*", help="study names (default: all)")
     ap.add_argument("--out-dir", default="results", type=Path)
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
-    ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--list", action="store_true", help="list names and exit")
     args = ap.parse_args(argv)
 
@@ -56,7 +55,7 @@ def main(argv=None) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     bad = 0
     for name in names:
-        report = run_study(STUDIES[name], workers=args.workers)
+        report = run_study(STUDIES[name])
         path = args.out_dir / f"{name}.{args.format}"
         path.write_text(report_emit(report, args.format))
         print(summarize(name, report))

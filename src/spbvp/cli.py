@@ -214,7 +214,7 @@ def _cmd_study(args) -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     try:
-        report = run_study(cfg, workers=args.workers)
+        report = run_study(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _write(report_emit(report, fmt), output)
@@ -270,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     study_p.add_argument("--name", default=None, help="registered study name")
     study_p.add_argument("--output", default=None, help="report file (default stdout)")
     study_p.add_argument("--format", choices=("csv", "json"), default=None)
-    study_p.add_argument(
-        "--workers", type=int, default=None, help="overrides SPBVP_WORKERS"
-    )
     study_p.add_argument(
         "--list", action="store_true", help="list registered studies and exit"
     )

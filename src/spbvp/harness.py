@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -60,7 +58,6 @@ __all__ = [
     "run_study",
     "study_from_dict",
     "sweep",
-    "worker_count",
 ]
 
 
@@ -312,16 +309,6 @@ def reference_discrepancy(
     return float(np.max(np.abs(ref_a(x) - ref_b(x))))
 
 
-def worker_count(workers: int | None = None) -> int:
-    """Explicit argument, else the SPBVP_WORKERS variable, else cpu count."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("SPBVP_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def sweep(
     problem_family: Callable[
         [tuple[float, ...]], tuple[SystemProblem, ReferenceSolution]
@@ -334,15 +321,14 @@ def sweep(
     family: str = "custom",
     target: str = "n_inv_log",
     energy: bool = False,
-    workers: int | None = None,
 ) -> ConvergenceReport:
     """Solve every (N, eps) cell and report uniform errors and rates.
 
     problem_family maps an eps vector to (problem, reference), so oracles
     regenerate per eps; mesh_family maps (problem, N) to the mesh, so it can
-    read layer data off the problem.  Cells run in a thread pool (size from
-    `workers`/SPBVP_WORKERS); a failed cell becomes a record with the
-    exception text instead of aborting the sweep.
+    read layer data off the problem.  Cells run in order, N-major; a failed
+    cell becomes a record with the exception text instead of aborting the
+    sweep.
     """
     tag = as_scheme(scheme).tag
     ns = tuple(int(n) for n in n_list)
@@ -351,9 +337,7 @@ def sweep(
         raise ValueError("n_list and eps_list must be non-empty")
     pairs = [problem_family(e) for e in epss]
 
-    def cell(idx: int) -> ErrorRecord:
-        i, j = divmod(idx, len(epss))
-        n, (problem, ref) = ns[i], pairs[j]
+    def cell(n: int, eps: tuple[float, ...], problem, ref) -> ErrorRecord:
         try:
             mesh = mesh_family(problem, n)
             sol = discrete_solve(problem, mesh, tag)
@@ -367,7 +351,7 @@ def sweep(
                 family=family,
                 scheme=tag,
                 n=n,
-                eps=epss[j],
+                eps=eps,
                 err_max=err,
                 err_energy=en,
                 q=diagnostics(mesh).max_h,
@@ -377,23 +361,19 @@ def sweep(
                 family=family,
                 scheme=tag,
                 n=n,
-                eps=epss[j],
+                eps=eps,
                 failure=f"{type(exc).__name__}: {exc}",
             )
 
-    tasks = range(len(ns) * len(epss))
-    w = worker_count(workers)
-    if w == 1:
-        records = [cell(i) for i in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            records = list(pool.map(cell, tasks))
+    records = tuple(
+        cell(n, eps, *pair) for n in ns for eps, pair in zip(epss, pairs)
+    )
     return ConvergenceReport(
         family=family,
         scheme=tag,
         n_list=ns,
         eps_list=epss,
-        records=tuple(records),
+        records=records,
         target=target,
     )
 
@@ -747,7 +727,7 @@ def study_from_dict(data: dict) -> StudyConfig:
     )
 
 
-def run_study(cfg: StudyConfig, workers: int | None = None) -> ConvergenceReport:
+def run_study(cfg: StudyConfig) -> ConvergenceReport:
     """Execute a pinned study; the report's family column is the mesh tag.
 
     Oracle-backed problems regenerate their fine-mesh reference per eps at
@@ -762,5 +742,4 @@ def run_study(cfg: StudyConfig, workers: int | None = None) -> ConvergenceReport
         family=cfg.mesh,
         target=cfg.target,
         energy=cfg.energy,
-        workers=workers,
     )

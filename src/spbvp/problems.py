@@ -19,8 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SingularMatrixError, dense_inverse, jacobi_eigh
-
 __all__ = [
     "Coefficient",
     "SystemProblem",
@@ -208,10 +206,10 @@ def check_gamma(problem: SystemProblem) -> StabilityReport:
     gamma[idx, idx] = 1.0
     notes: list[str] = []
     try:
-        inv = dense_inverse(gamma)
+        inv = np.linalg.inv(gamma)
         inv_min = float(inv.min())
         monotone = inv_min >= -1e-12
-    except SingularMatrixError:
+    except np.linalg.LinAlgError:
         inv_min = -math.inf
         monotone = False
         notes.append("comparison matrix is singular")
@@ -264,9 +262,9 @@ def check_upsilon(
     upsilon[idx, idx] = 1.0
     notes: list[str] = []
     try:
-        inv = dense_inverse(upsilon)
+        inv = np.linalg.inv(upsilon)
         inv_min = float(inv.min())
-    except SingularMatrixError:
+    except np.linalg.LinAlgError:
         inv_min = -math.inf
         notes.append("comparison matrix is singular")
     row_min = float(upsilon.sum(axis=1).min())
@@ -435,7 +433,10 @@ def default_envelope(problem: SystemProblem) -> LayerEnvelope:
         return LayerEnvelope(eps=problem.eps, rates=tuple(rates), sides=tuple(sides))
     if not problem.b.is_constant:
         raise ValueError("default envelope for strong coupling needs constant convection")
-    lam = jacobi_eigh(problem.b.constant).values
+    b = problem.b.constant
+    if np.max(np.abs(b - b.T)) > 1e-10 * max(1.0, float(np.max(np.abs(b)))):
+        raise ValueError("default envelope for strong coupling needs symmetric convection")
+    lam = np.linalg.eigvalsh(b)
     if np.any(np.abs(lam) < 1e-14):
         raise ValueError("convection matrix has a zero eigenvalue; no exponential layers")
     rate = float(np.min(np.abs(lam)))

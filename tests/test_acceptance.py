@@ -6,6 +6,7 @@ of the contract; a failing line here means the property does not hold as
 stated, not that the tolerance needs widening.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from spbvp.harness import (
     reference_discrepancy,
     run_study,
 )
-from spbvp.linalg import BlockTridiag, block_thomas, jacobi_eigh
+from spbvp.linalg import BlockTridiag, block_thomas
 from spbvp.meshes import (
     LayerSpec,
     bakhvalov_original,
@@ -188,8 +189,7 @@ def test_comparison_matrix_verdicts_and_symmetric_definiteness():
         if not rep.gamma_monotone:
             continue
         accepted += 1
-        pair = jacobi_eigh(a)
-        assert pair.values.min() > 0.0, f"monotone but indefinite:\n{a}"
+        assert np.linalg.eigvalsh(a).min() > 0.0, f"monotone but indefinite:\n{a}"
     assert trials > accepted, "sampler never produced a failing comparison matrix"
 
 
@@ -269,10 +269,10 @@ def test_mesh_invariants_across_eps_and_resolution():
 
 
 def test_block_elimination_matches_dense_oracle_on_random_instances():
+    # every parity and reduction depth of block cyclic reduction up to
+    # n = 40 (n = 1 included), plus one deep case
     rng = np.random.default_rng(987654321)
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        m = int(rng.integers(1, 4))
+    for n, m in itertools.product([*range(1, 41), 1025], (1, 2, 3)):
         diag = rng.standard_normal((n, m, m))
         diag += 3.0 * m * np.eye(m)  # block-row dominance keeps LU benign
         mat = BlockTridiag(
@@ -286,19 +286,3 @@ def test_block_elimination_matches_dense_oracle_on_random_instances():
         scale = 1.0 + float(np.max(np.abs(ref)))
         assert np.max(np.abs(got - ref)) <= 1e-9 * scale
 
-
-def test_rotation_eigensolver_matches_dense_oracle_on_random_instances():
-    pinned = jacobi_eigh(np.array([[-3.0, -4.0], [-4.0, 3.0]]))
-    assert np.max(np.abs(np.sort(pinned.values) - [-5.0, 5.0])) <= 1e-12
-
-    rng = np.random.default_rng(24681357)
-    for _ in range(1000):
-        m = int(rng.integers(1, 7))
-        a = rng.standard_normal((m, m))
-        a = 0.5 * (a + a.T)
-        pair = jacobi_eigh(a)
-        ref = np.linalg.eigvalsh(a)
-        scale = 1.0 + float(np.max(np.abs(ref)))
-        assert np.max(np.abs(np.sort(pair.values) - ref)) <= 1e-10 * scale
-        recon = pair.vectors @ np.diag(pair.values) @ pair.vectors.T
-        assert np.max(np.abs(recon - a)) <= 1e-10 * scale

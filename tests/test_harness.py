@@ -26,7 +26,6 @@ from spbvp.harness import (
     run_study,
     study_from_dict,
     sweep,
-    worker_count,
 )
 from spbvp.problems import ReferenceSolution, builtin_scalar_cd, oracle_reference
 from spbvp.schemes import discrete_solve
@@ -245,22 +244,6 @@ def test_oracle_reference_is_lazy():
 # sweep
 
 
-def test_sweep_bytes_identical_across_worker_counts():
-    outs = []
-    for w in (1, 2, 4):
-        rep = sweep(
-            problem_family("scalar-cd"),
-            mesh_family("shishkin"),
-            "simple-upwind",
-            (16, 32),
-            ((1e-3,), (1e-5,)),
-            family="shishkin",
-            workers=w,
-        )
-        outs.append(report_emit(rep, "csv"))
-    assert outs[0] == outs[1] == outs[2]
-
-
 def test_sweep_records_cell_failures_without_aborting():
     rep = sweep(
         problem_family("scalar-cd"),
@@ -269,7 +252,6 @@ def test_sweep_records_cell_failures_without_aborting():
         (16, 32),
         ((1e-3,),),
         family="shishkin",
-        workers=2,
     )
     assert len(rep.failures) == 2
     assert "reaction-diffusion" in rep.failures[0].failure
@@ -288,15 +270,6 @@ def test_sweep_rejects_empty_grids():
             (),
             ((1e-3,),),
         )
-
-
-def test_worker_count_resolution(monkeypatch):
-    assert worker_count(3) == 3
-    monkeypatch.setenv("SPBVP_WORKERS", "5")
-    assert worker_count() == 5
-    assert worker_count(2) == 2
-    monkeypatch.delenv("SPBVP_WORKERS")
-    assert worker_count() >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +292,6 @@ def test_csv_golden_file_byte_lock():
         (32, 64),
         ((1e-4,), (1e-6,)),
         family="shishkin",
-        workers=1,
     )
     got = report_emit(rep, "csv").encode()
     want = (GOLDEN / "scalar_upwind_shishkin_small.csv").read_bytes()
@@ -334,7 +306,6 @@ def test_json_round_trip_preserves_everything():
         (16, 32),
         ((1e-3,), (1e-5,)),
         family="shishkin",
-        workers=1,
     )
     text = report_emit(rep, "json")
     parsed = json.loads(text)
@@ -438,7 +409,7 @@ def test_run_study_small_smooth_case():
         eps_list=((1.0,),),
         target="n_inv_sq",
     )
-    rep = run_study(cfg, workers=2)
+    rep = run_study(cfg)
     assert not rep.failures
     rates = rep.rates_raw()
     assert all(abs(r - 2.0) <= 0.2 for r in rates)

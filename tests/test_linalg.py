@@ -1,20 +1,11 @@
-"""Tridiagonal / block-tridiagonal solvers, dense LU, and the rotation
-eigensolver, checked against numpy oracles and hand-computed anchors."""
+"""The block tridiagonal solver, checked against numpy oracles and
+hand-computed anchors: scalar systems (1x1 blocks), single dense pivot
+blocks (n = 1) and general block systems."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from spbvp.linalg import (
-    BlockTridiag,
-    EigenPair,
-    SingularMatrixError,
-    block_thomas,
-    dense_inverse,
-    dense_lu_solve,
-    jacobi_eigh,
-    thomas,
-)
+from spbvp.linalg import BlockTridiag, SingularMatrixError, block_thomas
 
 
 def random_tridiag(rng, n):
@@ -30,8 +21,26 @@ def tridiag_dense(lower, diag, upper):
     return a
 
 
+def thomas(lower, diag, upper, rhs):
+    """Scalar tridiagonal solve through block_thomas with 1x1 blocks."""
+    mat = BlockTridiag(
+        sub=np.reshape(lower, (-1, 1, 1)),
+        diag=np.reshape(diag, (-1, 1, 1)),
+        sup=np.reshape(upper, (-1, 1, 1)),
+    )
+    return block_thomas(mat, np.reshape(rhs, (-1, 1))).ravel()
+
+
+def dense_lu_solve(a, b):
+    """One dense pivot block (n = 1) through block_thomas."""
+    a = np.asarray(a, dtype=float)
+    empty = np.zeros((0,) + a.shape)
+    mat = BlockTridiag(sub=empty, diag=a[None], sup=empty)
+    return block_thomas(mat, np.asarray(b, dtype=float)[None])[0]
+
+
 # ---------------------------------------------------------------------------
-# scalar Thomas
+# scalar systems (1x1 blocks)
 # ---------------------------------------------------------------------------
 
 
@@ -59,13 +68,14 @@ def test_thomas_matches_dense_solver_randomized():
 
 
 def test_thomas_singular_pivot_raises():
+    # row 1 is eliminated first and its pivot is zero
     with pytest.raises(SingularMatrixError):
-        thomas(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0]))
+        thomas(np.array([1.0]), np.array([1.0, 0.0]), np.array([1.0]), np.array([1.0, 1.0]))
 
 
 def test_thomas_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        thomas(np.zeros(3), np.ones(3), np.zeros(2), np.ones(3))
+        thomas(np.zeros(2), np.ones(3), np.zeros(2), np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -93,19 +103,6 @@ def test_block_thomas_matches_dense_randomized():
         assert np.allclose(x, ref, rtol=1e-9, atol=1e-11)
 
 
-def test_block_size_one_is_bitwise_equal_to_scalar_path():
-    rng = np.random.default_rng(11)
-    n = 25
-    lower, diag, upper = random_tridiag(rng, n)
-    rhs = rng.uniform(-1.0, 1.0, n)
-    mat = BlockTridiag(
-        sub=lower.reshape(-1, 1, 1), diag=diag.reshape(-1, 1, 1), sup=upper.reshape(-1, 1, 1)
-    )
-    xb = block_thomas(mat, rhs.reshape(n, 1))
-    xs = thomas(lower, diag, upper, rhs)
-    assert np.array_equal(xb.ravel(), xs)
-
-
 def test_block_matvec_consistent_with_dense():
     rng = np.random.default_rng(3)
     mat = random_block_system(rng, 6, 3)
@@ -125,7 +122,7 @@ def test_block_singular_diagonal_raises():
 
 
 # ---------------------------------------------------------------------------
-# dense LU
+# one dense pivot block (n = 1)
 # ---------------------------------------------------------------------------
 
 
@@ -138,106 +135,21 @@ def test_dense_lu_randomized():
         assert np.allclose(dense_lu_solve(a, b), np.linalg.solve(a, b), rtol=1e-9, atol=1e-12)
 
 
-def test_dense_lu_matrix_rhs():
-    rng = np.random.default_rng(23)
-    a = rng.uniform(-1.0, 1.0, (5, 5)) + 5.0 * np.eye(5)
-    b = rng.uniform(-1.0, 1.0, (5, 3))
-    assert np.allclose(dense_lu_solve(a, b), np.linalg.solve(a, b), rtol=1e-10)
-
-
 def test_dense_lu_needs_pivoting():
     # zero in the (0,0) entry; unpivoted elimination would divide by zero
     a = np.array([[0.0, 1.0], [1.0, 1.0]])
     assert np.allclose(dense_lu_solve(a, np.array([1.0, 2.0])), [1.0, 1.0], rtol=1e-14)
-
-
-def test_dense_inverse_randomized():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        a = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
-        assert np.allclose(dense_inverse(a), np.linalg.inv(a), rtol=1e-9, atol=1e-12)
+    # the same block as an odd pivot of a 3-block system, eliminated first
+    mat = BlockTridiag(
+        sub=np.full((2, 2, 2), 0.1),
+        diag=np.stack([3.0 * np.eye(2), a, 3.0 * np.eye(2)]),
+        sup=np.full((2, 2, 2), 0.1),
+    )
+    rhs = np.arange(6.0).reshape(3, 2)
+    ref = np.linalg.solve(mat.to_dense(), rhs.ravel()).reshape(3, 2)
+    assert np.allclose(block_thomas(mat, rhs), ref, rtol=1e-13, atol=1e-14)
 
 
 def test_dense_singular_raises():
     with pytest.raises(SingularMatrixError):
         dense_lu_solve(np.ones((3, 3)), np.ones(3))
-
-
-# ---------------------------------------------------------------------------
-# rotation eigensolver
-# ---------------------------------------------------------------------------
-
-
-def test_eigh_anchor_2x2():
-    # [[-3, -4], [-4, 3]] has eigenvalues -5, 5 and eigenvectors
-    # (2, 1)/sqrt(5), (-1, 2)/sqrt(5); worked by hand from the characteristic
-    # polynomial l^2 - 25 = 0
-    pair = jacobi_eigh(np.array([[-3.0, -4.0], [-4.0, 3.0]]))
-    assert np.allclose(pair.values, [-5.0, 5.0], atol=1e-12)
-    s5 = np.sqrt(5.0)
-    expect = np.array([[2.0 / s5, -1.0 / s5], [1.0 / s5, 2.0 / s5]])
-    assert np.allclose(pair.vectors, expect, atol=1e-12)
-
-
-def test_eigh_diagonal_input():
-    pair = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
-    assert np.array_equal(pair.values, [-1.0, 2.0, 3.0])
-
-
-def test_eigh_matches_numpy_randomized():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        n = int(rng.integers(1, 8))
-        a = rng.uniform(-1.0, 1.0, (n, n))
-        a = 0.5 * (a + a.T)
-        pair = jacobi_eigh(a)
-        ref = np.linalg.eigvalsh(a)
-        assert np.allclose(pair.values, ref, atol=1e-10)
-        # reconstruction and orthogonality
-        v = pair.vectors
-        assert np.allclose(v @ np.diag(pair.values) @ v.T, a, atol=1e-12)
-        assert np.allclose(v.T @ v, np.eye(n), atol=1e-12)
-
-
-def test_eigh_sign_convention():
-    rng = np.random.default_rng(37)
-    for _ in range(50):
-        a = rng.uniform(-1.0, 1.0, (4, 4))
-        a = 0.5 * (a + a.T)
-        v = jacobi_eigh(a).vectors
-        for j in range(4):
-            col = v[:, j]
-            assert col[np.argmax(np.abs(col))] > 0.0
-
-
-def test_eigh_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_eigh_values_sorted_ascending():
-    rng = np.random.default_rng(41)
-    a = rng.uniform(-1.0, 1.0, (6, 6))
-    a = 0.5 * (a + a.T)
-    vals = jacobi_eigh(a).values
-    assert np.all(np.diff(vals) >= 0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_eigh_property_reconstruction(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 6))
-    a = rng.normal(size=(n, n))
-    a = 0.5 * (a + a.T)
-    pair = jacobi_eigh(a)
-    v = pair.vectors
-    scale = max(1.0, float(np.abs(a).max()))
-    assert np.abs(v @ np.diag(pair.values) @ v.T - a).max() <= 1e-12 * scale
-
-
-def test_eigenpair_is_frozen():
-    pair = EigenPair(values=np.zeros(1), vectors=np.eye(1))
-    with pytest.raises((AttributeError, TypeError)):
-        pair.values = np.ones(1)

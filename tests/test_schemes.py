@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spbvp.linalg import block_thomas
 from spbvp.meshes import LayerSpec, shishkin, system_shishkin, uniform_mesh
 from spbvp.problems import (
     Coefficient,
@@ -380,6 +381,24 @@ def test_solve_refines_fem_rows_with_vanishing_reaction():
     sol = discrete_solve(problem, shishkin(spec, 64), "galerkin-fem")
     assert sol.residual <= 1e-10 * (1.0 + 1.0)
     assert float(np.max(np.abs(sol.values - ref(sol.mesh.points)))) < 5e-2
+
+
+def test_solve_forward_error_against_long_double_refinement():
+    # cyclic reduction alone leaves ~3.6e-9 here at a row-scaled residual
+    # of 3e-16; the refinement pass in solve brings it to ~2e-11
+    problem, _ = builtin_scalar_cd(1e-6)
+    spec = LayerSpec(eps=1e-6, gamma=1.0, mu=2.0, side="right")
+    op = assemble(problem, shishkin(spec, 2**16), "simple-upwind")
+    got = solve(op).values
+    mat = op.matrix
+    sub, diag, sup = (a.astype(np.longdouble) for a in (mat.sub, mat.diag, mat.sup))
+    x = got.astype(np.longdouble)
+    for _ in range(3):
+        r = (diag @ x[..., None])[..., 0] - op.rhs
+        r[1:] += (sub @ x[:-1, :, None])[..., 0]
+        r[:-1] += (sup @ x[1:, :, None])[..., 0]
+        x = x - block_thomas(mat, r.astype(float))
+    assert float(np.max(np.abs(got - x))) <= 2e-10
 
 
 def test_solve_rejects_poisoned_rhs():
