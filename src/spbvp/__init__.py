@@ -59,7 +59,6 @@ from .schemes import (
     SCHEME_TAGS,
     DiscreteOperator,
     DiscreteSolution,
-    Scheme,
     assemble,
     discrete_solve,
     energy_norm,

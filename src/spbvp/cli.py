@@ -91,20 +91,14 @@ def _load_problem(args) -> SystemProblem:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read problem file {name}: {exc}") from exc
-        try:
-            return problem_from_dict(data)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return problem_from_dict(data)
     if name not in BUILTIN_PROBLEMS:
         raise ConfigError(
             f"unknown problem {name!r}; builtins: {', '.join(sorted(BUILTIN_PROBLEMS))}"
         )
-    try:
-        if args.eps is None:
-            return BUILTIN_PROBLEMS[name]()[0]
-        return problem_family(name)(_parse_eps(args.eps))[0]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.eps is None:
+        return BUILTIN_PROBLEMS[name]()[0]
+    return problem_family(name)(_parse_eps(args.eps))[0]
 
 
 def _build_mesh(args) -> Mesh1D:
@@ -158,10 +152,7 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_solve(args) -> int:
     problem = _load_problem(args)
-    try:
-        mesh = mesh_family(args.mesh)(problem, args.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    mesh = mesh_family(args.mesh)(problem, args.n)
     try:
         sol = discrete_solve(problem, mesh, args.scheme)
     except (ValueError, RuntimeError) as exc:
@@ -188,8 +179,7 @@ def _cmd_check(args) -> int:
 def _cmd_study(args) -> int:
     if (args.config is None) == (args.name is None):
         raise ConfigError("study takes exactly one of --config or --name")
-    output = args.output
-    fmt = args.format
+    data = {"name": args.name}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -198,25 +188,12 @@ def _cmd_study(args) -> int:
             raise ConfigError(f"cannot read study config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("study config must be a JSON object")
-        try:
-            cfg = study_from_dict(data)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        output = output or data.get("output")
-        fmt = fmt or data.get("format")
-    else:
-        if args.name not in STUDIES:
-            raise ConfigError(
-                f"unknown study {args.name!r}; known: {', '.join(sorted(STUDIES))}"
-            )
-        cfg = STUDIES[args.name]
-    fmt = fmt or "csv"
+    cfg = study_from_dict(data)
+    output = args.output or data.get("output")
+    fmt = args.format or data.get("format") or "csv"
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    try:
-        report = run_study(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = run_study(cfg)
     _write(report_emit(report, fmt), output)
     if report.failures:
         for rec in report.failures:
@@ -278,21 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors, but 2 means a solve cell failed
+        return 3 if exc.code else 0
     if getattr(args, "list", False):
         sys.stdout.write("\n".join(sorted(STUDIES)) + "\n")
         return 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        # invalid parameter combinations surfaced by the library
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
+        # ValueError: invalid parameter combinations surfaced by the library
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

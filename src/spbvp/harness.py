@@ -38,7 +38,7 @@ from .problems import (
     check_gamma,
     oracle_reference,
 )
-from .schemes import DiscreteSolution, as_scheme, discrete_solve, energy_norm_error
+from .schemes import SCHEME_TAGS, DiscreteSolution, discrete_solve, energy_norm_error
 
 __all__ = [
     "CSV_HEADER",
@@ -314,7 +314,7 @@ def sweep(
         [tuple[float, ...]], tuple[SystemProblem, ReferenceSolution]
     ],
     mesh_family: Callable[[SystemProblem, int], Mesh1D],
-    scheme,
+    scheme: str,
     n_list: Sequence[int],
     eps_list: Sequence,
     *,
@@ -330,7 +330,8 @@ def sweep(
     cell becomes a record with the exception text instead of aborting the
     sweep.
     """
-    tag = as_scheme(scheme).tag
+    if scheme not in SCHEME_TAGS:
+        raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
     ns = tuple(int(n) for n in n_list)
     epss = tuple(_eps_key(e) for e in eps_list)
     if not ns or not epss:
@@ -340,7 +341,7 @@ def sweep(
     def cell(n: int, eps: tuple[float, ...], problem, ref) -> ErrorRecord:
         try:
             mesh = mesh_family(problem, n)
-            sol = discrete_solve(problem, mesh, tag)
+            sol = discrete_solve(problem, mesh, scheme)
             err = max_norm_error(sol, ref)
             en = (
                 energy_norm_error(mesh, sol.values, ref, problem.diffusion)
@@ -349,7 +350,7 @@ def sweep(
             )
             return ErrorRecord(
                 family=family,
-                scheme=tag,
+                scheme=scheme,
                 n=n,
                 eps=eps,
                 err_max=err,
@@ -359,7 +360,7 @@ def sweep(
         except Exception as exc:  # recorded per cell, not fatal
             return ErrorRecord(
                 family=family,
-                scheme=tag,
+                scheme=scheme,
                 n=n,
                 eps=eps,
                 failure=f"{type(exc).__name__}: {exc}",
@@ -370,7 +371,7 @@ def sweep(
     )
     return ConvergenceReport(
         family=family,
-        scheme=tag,
+        scheme=scheme,
         n_list=ns,
         eps_list=epss,
         records=records,
@@ -496,28 +497,35 @@ def report_from_json(text: str) -> ConvergenceReport:
 # ---------------------------------------------------------------------------
 
 
+def _strongly_coupled_oracle(eps: float) -> tuple[SystemProblem, ReferenceSolution]:
+    problem, _ = builtin_strongly_coupled_example(eps)
+    # self-consistent fitted-scheme oracle; 16384 = 16 * the largest default
+    # study N, and its nodes nest over every power-of-two N
+    ref = oracle_reference(problem, 16384, "ias", uniform_mesh, mesh_label="uniform")
+    return problem, ref
+
+
 def problem_family(
     name: str,
 ) -> Callable[[tuple[float, ...]], tuple[SystemProblem, ReferenceSolution]]:
     """Builtin problem constructors keyed by name, as eps -> (problem, ref)."""
-    if name == "scalar-cd":
-        return lambda eps: builtin_scalar_cd(eps[0])
-    if name == "strongly-coupled-2x2":
-        return lambda eps: builtin_strongly_coupled_example(eps[0])
-    if name == "strongly-coupled-2x2-oracle":
+    single_eps = {
+        "scalar-cd": builtin_scalar_cd,
+        "strongly-coupled-2x2": builtin_strongly_coupled_example,
+        "strongly-coupled-2x2-oracle": _strongly_coupled_oracle,
+        "strongly-coupled-variable": builtin_strongly_coupled_variable,
+    }
+    if name in single_eps:
+        build = single_eps[name]
 
-        def build(eps):
-            problem, _ = builtin_strongly_coupled_example(eps[0])
-            # self-consistent fitted-scheme oracle; 16384 = 16 * the largest
-            # default study N, and its nodes nest over every power-of-two N
-            ref = oracle_reference(
-                problem, 16384, "ias", uniform_mesh, mesh_label="uniform"
-            )
-            return problem, ref
+        def family(eps):
+            if len(eps) != 1:
+                raise ValueError(
+                    f"problem {name!r} takes 1 eps value, got {len(eps)}: {eps}"
+                )
+            return build(eps[0])
 
-        return build
-    if name == "strongly-coupled-variable":
-        return lambda eps: builtin_strongly_coupled_variable(eps[0])
+        return family
     if name == "reaction-diffusion":
         return lambda eps: builtin_reaction_diffusion_system(m=len(eps), eps=eps)
     if name == "weakly-coupled-cd":

@@ -826,12 +826,12 @@ def builtin_reaction_diffusion_system(
 
         return system_shishkin(eps_sorted, n, sigma=2.0, beta=kappa, both_sides=True)
 
-    ref = ReferenceSolution(
-        kind="oracle",
-        evaluator=_lazy_oracle(problem, n_ref, "central", mesh_factory),
-        n_ref=n_ref,
+    ref = oracle_reference(
+        problem,
+        n_ref,
+        "central",
+        mesh_factory,
         mesh_label=f"system_shishkin(both_sides,beta={kappa:g})",
-        label=problem.label,
     )
     return problem, ref
 
@@ -870,12 +870,12 @@ def builtin_weakly_coupled_cd(
 
         return system_shishkin(eps_sorted, n, sigma=2.0, beta=1.0, both_sides=False)
 
-    ref = ReferenceSolution(
-        kind="oracle",
-        evaluator=_lazy_oracle(problem, n_ref, "simple-upwind", mesh_factory),
-        n_ref=n_ref,
+    ref = oracle_reference(
+        problem,
+        n_ref,
+        "simple-upwind",
+        mesh_factory,
         mesh_label="system_shishkin(beta=1)",
-        label=problem.label,
     )
     return problem, ref
 

@@ -20,13 +20,9 @@ from .problems import ReferenceSolution, SystemProblem
 from .quadrature import gauss_legendre_cells
 
 __all__ = [
-    "Scheme",
     "SCHEME_TAGS",
-    "Stencil",
     "DiscreteOperator",
     "DiscreteSolution",
-    "as_scheme",
-    "diff_ops",
     "assemble",
     "ias_assemble",
     "apply",
@@ -37,53 +33,6 @@ __all__ = [
 ]
 
 SCHEME_TAGS = ("simple-upwind", "midpoint-upwind", "central", "ias", "galerkin-fem")
-
-
-@dataclass(frozen=True)
-class Scheme:
-    """Discretization selector; currently just a validated tag."""
-
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.tag not in SCHEME_TAGS:
-            raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {self.tag!r}")
-
-
-def as_scheme(scheme: Scheme | str) -> Scheme:
-    return scheme if isinstance(scheme, Scheme) else Scheme(str(scheme))
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """Three-point coefficients (on u_{i-1}, u_i, u_{i+1}) of the first- and
-    second-difference operators at one interior node."""
-
-    dplus: np.ndarray
-    dminus: np.ndarray
-    dzero: np.ndarray
-    dplusminus: np.ndarray
-
-
-def diff_ops(mesh: Mesh1D, i: int) -> Stencil:
-    """Difference stencils at interior node i of a (possibly nonuniform) mesh.
-
-    D+ u = (u_{i+1}-u_i)/h_{i+1}, D- u = (u_i-u_{i-1})/h_i,
-    D0 u = (u_{i+1}-u_{i-1})/(h_i+h_{i+1}),
-    D+D- u = 2 (D+ u - D- u)/(h_i + h_{i+1}).
-    """
-    n = len(mesh.points) - 1
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"interior node index must be in [1, {n - 1}], got {i}")
-    hl = mesh.points[i] - mesh.points[i - 1]
-    hr = mesh.points[i + 1] - mesh.points[i]
-    s = hl + hr
-    return Stencil(
-        dplus=np.array([0.0, -1.0 / hr, 1.0 / hr]),
-        dminus=np.array([-1.0 / hl, 1.0 / hl, 0.0]),
-        dzero=np.array([-1.0 / s, 0.0, 1.0 / s]),
-        dplusminus=np.array([2.0 / (hl * s), -2.0 / (hl * hr), 2.0 / (hr * s)]),
-    )
 
 
 @dataclass(frozen=True)
@@ -327,9 +276,7 @@ def _assemble_galerkin(problem, mesh):
     return sub, diag, sup, rhs
 
 
-def assemble(
-    problem: SystemProblem, mesh: Mesh1D, scheme: Scheme | str
-) -> DiscreteOperator:
+def assemble(problem: SystemProblem, mesh: Mesh1D, scheme: str) -> DiscreteOperator:
     """Assemble the selected scheme for the problem on the mesh.
 
     Interior row i of the simple upwind scheme encodes
@@ -339,25 +286,23 @@ def assemble(
     midpoint with the unknown averaged there; central drops convection
     (reaction-diffusion only); galerkin-fem integrates linear elements.
     """
-    scheme = as_scheme(scheme)
-    tag = scheme.tag
-    if tag == "ias":
+    if scheme == "ias":
         return ias_assemble(problem, mesh)
-    if tag == "simple-upwind":
-        if problem.b is None:
-            raise ValueError("upwind schemes need a convection term")
+    if scheme in ("simple-upwind", "midpoint-upwind") and problem.b is None:
+        raise ValueError("upwind schemes need a convection term")
+    if scheme == "simple-upwind":
         parts = _assemble_simple_upwind(problem, mesh)
-    elif tag == "midpoint-upwind":
-        if problem.b is None:
-            raise ValueError("upwind schemes need a convection term")
+    elif scheme == "midpoint-upwind":
         parts = _assemble_midpoint_upwind(problem, mesh)
-    elif tag == "central":
+    elif scheme == "central":
         parts = _assemble_central(problem, mesh)
-    elif tag == "galerkin-fem":
+    elif scheme == "galerkin-fem":
         parts = _assemble_galerkin(problem, mesh)
-    else:  # pragma: no cover - tag validated above
-        raise AssertionError(tag)
-    return _finalize(*parts, problem, mesh, tag, fold_boundary=tag == "galerkin-fem")
+    else:
+        raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
+    return _finalize(
+        *parts, problem, mesh, scheme, fold_boundary=scheme == "galerkin-fem"
+    )
 
 
 def _fitting_factor(rho: np.ndarray) -> np.ndarray:
@@ -479,7 +424,7 @@ def solve(op: DiscreteOperator) -> DiscreteSolution:
 
 
 def discrete_solve(
-    problem: SystemProblem, mesh: Mesh1D, scheme: Scheme | str
+    problem: SystemProblem, mesh: Mesh1D, scheme: str
 ) -> DiscreteSolution:
     """Assemble and solve in one call."""
     return solve(assemble(problem, mesh, scheme))

@@ -82,7 +82,7 @@ def test_central_on_mirrored_system_mesh_second_order_up_to_log():
     assert not report.failures, report.failures
     _assert_rates(report.rates_corrected(), 2.0, 0.25, "central/system-shishkin")
     # oracle hygiene: doubling the reference resolution moves the reference
-    # far less than the coarsest measured error
+    # far less than the finest (smallest) measured error
     _, ref_fine = builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-3), n_ref=12288)
     _, ref_half = builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-3), n_ref=6144)
     drift = reference_discrepancy(ref_fine, ref_half)

@@ -230,3 +230,35 @@ def test_study_list_names(capsys):
     code, out, _ = _run(capsys, "study", "--list")
     assert code == 0
     assert "scalar-upwind-shishkin" in out.splitlines()
+
+
+def test_eps_vector_on_single_eps_problem_is_config_error(tmp_path, capsys):
+    code, out, err = _run(capsys, "solve", "--problem", "scalar-cd",
+                          "--eps", "1e-3,1e-4")
+    assert code == 3 and out == ""
+    assert "'scalar-cd' takes 1 eps value, got 2" in err
+    cfg = {
+        "problem": "scalar-cd",
+        "scheme": "simple-upwind",
+        "mesh": "shishkin",
+        "N_list": [16],
+        "eps_list": [[1e-3, 1e-4]],
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "study", "--config", str(path))
+    assert code == 3 and out == ""
+    assert "takes 1 eps value" in err
+
+
+def test_usage_errors_exit_3(capsys):
+    code, _, err = _run(capsys, "solve", "--scheme", "upwinded")
+    assert code == 3 and "invalid choice" in err
+    code, _, err = _run(capsys, "study", "--format", "xml")
+    assert code == 3 and "invalid choice" in err
+    code, _, err = _run(capsys, "mesh", "--n", "many")
+    assert code == 3 and "invalid int value" in err
+    code, _, _ = _run(capsys)
+    assert code == 3
+    code, out, _ = _run(capsys, "--help")
+    assert code == 0 and "usage: spbvp" in out

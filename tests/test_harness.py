@@ -392,6 +392,26 @@ def test_study_from_dict_named_and_inline():
         mesh_family("nope")
 
 
+def test_single_eps_problem_families_reject_eps_vectors():
+    for name in (
+        "scalar-cd",
+        "strongly-coupled-2x2",
+        "strongly-coupled-2x2-oracle",
+        "strongly-coupled-variable",
+    ):
+        with pytest.raises(ValueError, match=f"{name}.*takes 1 eps value, got 2"):
+            problem_family(name)((1e-3, 1e-4))
+    cfg = StudyConfig(
+        problem="scalar-cd",
+        scheme="simple-upwind",
+        mesh="shishkin",
+        n_list=(16,),
+        eps_list=((1e-3, 1e-4),),
+    )
+    with pytest.raises(ValueError, match="takes 1 eps value"):
+        run_study(cfg)
+
+
 def test_mesh_families_read_layer_data_off_the_problem():
     problem, _ = builtin_scalar_cd(1e-3)
     mesh = mesh_family("shishkin")(problem, 16)

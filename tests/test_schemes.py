@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spbvp.harness import mesh_family, problem_family, sweep
 from spbvp.linalg import block_thomas
 from spbvp.meshes import LayerSpec, shishkin, system_shishkin, uniform_mesh
 from spbvp.problems import (
@@ -21,11 +22,8 @@ from spbvp.problems import (
 )
 from spbvp.schemes import (
     SCHEME_TAGS,
-    Scheme,
     apply,
-    as_scheme,
     assemble,
-    diff_ops,
     discrete_solve,
     energy_norm,
     energy_norm_error,
@@ -74,47 +72,23 @@ def _interior_row(op, i):
 
 
 # ---------------------------------------------------------------------------
-# scheme tags and stencils
+# scheme tags
 
 
 def test_scheme_tag_validation():
     for tag in SCHEME_TAGS:
-        assert as_scheme(tag).tag == tag
+        problem = _scalar_rd() if tag == "central" else _scalar_cd()
+        assert assemble(problem, uniform_mesh(4), tag).scheme_tag == tag
     with pytest.raises(ValueError, match="scheme must be one of"):
-        Scheme("upwinded")
-    s = Scheme("central")
-    assert as_scheme(s) is s
-
-
-def test_diff_ops_uniform_classical_weights():
-    mesh = uniform_mesh(4)
-    st_ = diff_ops(mesh, 2)
-    np.testing.assert_allclose(st_.dplus, [0.0, -4.0, 4.0])
-    np.testing.assert_allclose(st_.dminus, [-4.0, 4.0, 0.0])
-    np.testing.assert_allclose(st_.dzero, [-2.0, 0.0, 2.0])
-    np.testing.assert_allclose(st_.dplusminus, [16.0, -32.0, 16.0])
-
-
-def test_diff_ops_exact_on_linears_and_quadratics():
-    mesh = uniform_mesh(5)
-    pts = np.array([0.0, 0.1, 0.35, 0.6, 1.0])
-    nonuni = dataclasses.replace(mesh, points=pts)
-    for i in range(1, 4):
-        s = diff_ops(nonuni, i)
-        window = pts[i - 1 : i + 2]
-        lin = 2.0 * window + 1.0
-        assert math.isclose(float(s.dplus @ lin), 2.0, rel_tol=1e-12)
-        assert math.isclose(float(s.dminus @ lin), 2.0, rel_tol=1e-12)
-        assert math.isclose(float(s.dzero @ lin), 2.0, rel_tol=1e-12)
-        # D+D- integrates a quadratic exactly on any spacing
-        assert math.isclose(float(s.dplusminus @ window**2), 2.0, rel_tol=1e-10)
-
-
-def test_diff_ops_index_bounds():
-    mesh = uniform_mesh(4)
-    for bad in (0, 4, 5, -1):
-        with pytest.raises(ValueError, match="interior node index"):
-            diff_ops(mesh, bad)
+        assemble(_scalar_cd(), uniform_mesh(4), "upwinded")
+    with pytest.raises(ValueError, match="scheme must be one of"):
+        sweep(
+            problem_family("scalar-cd"),
+            mesh_family("shishkin"),
+            "upwinded",
+            (16,),
+            ((1e-3,),),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +179,15 @@ def test_central_frozen_interior_row():
     np.testing.assert_allclose(sub, [[-0.16]], rtol=1e-14)
     np.testing.assert_allclose(diag, [[2.32]], rtol=1e-14)
     np.testing.assert_allclose(sup, [[-0.16]], rtol=1e-14)
+
+
+def test_central_exact_on_quadratics_on_uneven_mesh():
+    # -eps^2 D+D- integrates x^2 exactly on any spacing: each row is -2 eps^2
+    pts = np.array([0.0, 0.1, 0.35, 0.6, 1.0])
+    mesh = dataclasses.replace(uniform_mesh(4), points=pts)
+    op = assemble(_scalar_rd(eps=0.1, a=0.0), mesh, "central")
+    got = apply(op, (pts**2)[:, None])[1:-1, 0]
+    np.testing.assert_allclose(got, -0.02, rtol=1e-12)
 
 
 def test_central_rejects_convection_kinds():
