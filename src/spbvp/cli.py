@@ -103,6 +103,10 @@ def _load_problem(args) -> SystemProblem:
 
 def _build_mesh(args) -> Mesh1D:
     eps = _parse_eps(args.eps)
+    if args.family != "system-shishkin" and len(eps) != 1:
+        raise ConfigError(
+            f"mesh family {args.family!r} takes 1 eps value, got {len(eps)}: {args.eps}"
+        )
     if args.family == "uniform":
         return uniform_mesh(args.n)
     if args.family == "system-shishkin":

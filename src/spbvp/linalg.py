@@ -2,7 +2,9 @@
 
 Every discretization assembles a ``BlockTridiag`` and solves it with
 ``block_thomas``, a block cyclic reduction in which each level is a few
-batched numpy/LAPACK calls over all the block rows it eliminates.
+batched numpy/LAPACK calls over all the block rows it eliminates.  The
+reduction is factored once per call and applied twice, the second time
+as one pass of iterative refinement.
 """
 from __future__ import annotations
 
@@ -79,38 +81,68 @@ def block_thomas(mat: BlockTridiag, rhs: np.ndarray) -> np.ndarray:
     stable for block diagonally dominant systems).  There is no pivoting
     across block rows, and a singular pivot block raises
     SingularMatrixError.
+
+    The matrix is factored once and the factor applied twice: the second
+    application is one pass of iterative refinement.  On strongly graded
+    meshes cyclic reduction alone leaves a row-scaled residual near 1e-16
+    but forward errors up to ~6e-9 (scalar upwind on Shishkin, N = 2^16),
+    and one pass brings them back to those of sequential block elimination
+    (~2e-11).
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (mat.n, mat.m):
         raise ValueError(f"rhs must be {(mat.n, mat.m)}, got {rhs.shape}")
+    factor = _factor(mat)
+    x = _apply(factor, rhs)
+    return x - _apply(factor, mat.matvec(x) - rhs)
+
+
+def _singular(level: int) -> SingularMatrixError:
+    return SingularMatrixError(f"singular pivot block at cyclic reduction level {level}")
+
+
+def _factor(mat: BlockTridiag) -> tuple[list, np.ndarray]:
+    """Per-level (inv, left, right, lo, up) of the reduction, and the last block."""
     sub, diag, sup = (np.asarray(a, dtype=float) for a in (mat.sub, mat.diag, mat.sup))
-    rhs = rhs[..., None]  # (n, m, 1): every product below is a batched matmul
     levels = []
     try:
         while len(diag) > 1:
             ko = len(diag) // 2  # odd rows
             nr = (len(diag) - 1) // 2  # odd rows with a right neighbour
             inv = np.linalg.inv(diag[1::2])
-            # x_{2t+1} = y_t - left_t x_{2t} - right_t x_{2t+2}
+            # x_{2t+1} = inv_t rhs_{2t+1} - left_t x_{2t} - right_t x_{2t+2}
             left = inv @ sub[0::2]
             right = inv[:nr] @ sup[1::2]
-            y = inv @ rhs[1::2]
-            levels.append((left, right, y))
             # even row 2s reaches odd row 2s-1 through lo[s-1], 2s+1 through up[s]
             lo, up = sub[1::2], sup[0::2]
+            if levels:  # a view would keep this level's whole sub/sup alive
+                lo, up = lo.copy(), up.copy()
+            levels.append((inv, left, right, lo, up))
             diag = diag[0::2].copy()
             diag[:ko] -= up @ left
             diag[1:] -= lo @ right
-            rhs = rhs[0::2].copy()
-            rhs[:ko] -= up @ y
-            rhs[1:] -= lo @ y[:nr]
             sub, sup = -(lo @ left[:nr]), -(up[:nr] @ right)
-        x = np.linalg.solve(diag[:1], rhs[:1])
     except np.linalg.LinAlgError:
-        raise SingularMatrixError(
-            f"singular pivot block at cyclic reduction level {len(levels)}"
-        ) from None
-    for left, right, y in reversed(levels):
+        raise _singular(len(levels)) from None
+    return levels, diag
+
+
+def _apply(factor: tuple[list, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Forward sweep, last-block solve and back substitution for one rhs."""
+    levels, last = factor
+    rhs = rhs[..., None]  # (n, m, 1): every product below is a batched matmul
+    ys = []
+    for inv, left, right, lo, up in levels:
+        y = inv @ rhs[1::2]
+        ys.append(y)
+        rhs = rhs[0::2].copy()
+        rhs[:len(left)] -= up @ y
+        rhs[1:] -= lo @ y[:len(right)]
+    try:
+        x = np.linalg.solve(last, rhs)
+    except np.linalg.LinAlgError:
+        raise _singular(len(levels)) from None
+    for (_, left, right, _, _), y in zip(reversed(levels), reversed(ys)):
         ko, nr = len(left), len(right)
         full = np.empty((len(x) + ko,) + x.shape[1:])
         full[0::2] = x

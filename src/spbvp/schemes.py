@@ -378,23 +378,20 @@ def ias_assemble(problem: SystemProblem, mesh: Mesh1D) -> DiscreteOperator:
 
 
 def solve(op: DiscreteOperator) -> DiscreteSolution:
-    """Block cyclic reduction, one refinement pass, a row-scaled residual guard.
+    """Block cyclic reduction (refined once inside the kernel), a row-scaled
+    residual guard.
 
-    The refinement pass always runs: on strongly graded meshes cyclic
-    reduction alone leaves a row-scaled residual near 1e-16 but forward
-    errors up to ~6e-9 (scalar upwind on Shishkin, N = 2^16), and one pass
-    brings them back to those of sequential block elimination (~2e-11).
     The residual of each scalar row is divided by that row's coefficient
     norm (at least 1): on strongly graded meshes the raw row norms reach
     1e10 and an absolute residual would measure nothing but their size.
     The scaled residual must stay below 1e-10 * (1 + max |rhs|).  The
     solver does not pivot across block rows, so near-skew rows (untreated
     convection with vanishing reaction) can amplify roundoff; up to two
-    further refinement passes restore the residual before the guard.
+    further refinement passes restore the residual before the guard.  A
+    non-finite residual fails at once: no refinement pass can repair it.
     """
     mat = op.matrix
     u = block_thomas(mat, op.rhs)
-    u = u - block_thomas(mat, mat.matvec(u) - op.rhs)
     scale = np.abs(mat.diag).sum(axis=2)
     scale[1:] += np.abs(mat.sub).sum(axis=2)
     scale[:-1] += np.abs(mat.sup).sum(axis=2)
@@ -404,7 +401,7 @@ def solve(op: DiscreteOperator) -> DiscreteSolution:
     for _ in range(3):
         r = mat.matvec(u) - op.rhs
         residual = float(np.max(np.abs(r) / scale))
-        if residual <= tol:
+        if residual <= tol or not math.isfinite(residual):
             break
         u = u - block_thomas(mat, r)
     if not residual <= tol:  # nan-proof: refuses non-finite residuals too

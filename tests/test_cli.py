@@ -61,6 +61,11 @@ def test_mesh_rejects_malformed_eps(capsys):
     assert code == 3 and "cannot parse eps" in err
     code, _, err = _run(capsys, "mesh", "--eps=-1e-3")
     assert code == 3 and "positive" in err
+    # only system-shishkin reads an eps list; the rest would drop all but eps[0]
+    for family in ("shishkin", "bakhvalov-type", "uniform"):
+        code, out, err = _run(capsys, "mesh", "--family", family, "--eps", "1e-3,1e-4",
+                              "--n", "8")
+        assert code == 3 and out == "" and "takes 1 eps value, got 2" in err
 
 
 def test_mesh_system_family_takes_eps_list(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spbvp import schemes
 from spbvp.harness import mesh_family, problem_family, sweep
 from spbvp.linalg import block_thomas
 from spbvp.meshes import LayerSpec, shishkin, system_shishkin, uniform_mesh
@@ -368,7 +369,7 @@ def test_solve_refines_fem_rows_with_vanishing_reaction():
 
 def test_solve_forward_error_against_long_double_refinement():
     # cyclic reduction alone leaves ~3.6e-9 here at a row-scaled residual
-    # of 3e-16; the refinement pass in solve brings it to ~2e-11
+    # of 3e-16; the refinement pass inside block_thomas brings it to ~2e-11
     problem, _ = builtin_scalar_cd(1e-6)
     spec = LayerSpec(eps=1e-6, gamma=1.0, mu=2.0, side="right")
     op = assemble(problem, shishkin(spec, 2**16), "simple-upwind")
@@ -382,13 +383,40 @@ def test_solve_forward_error_against_long_double_refinement():
         r[:-1] += (sup @ x[1:, :, None])[..., 0]
         x = x - block_thomas(mat, r.astype(float))
     assert float(np.max(np.abs(got - x))) <= 2e-10
+    assert float(np.max(np.abs(block_thomas(mat, op.rhs) - x))) <= 2e-10
 
 
-def test_solve_rejects_poisoned_rhs():
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = schemes.block_thomas
+
+    def counted(mat, rhs):
+        calls.append(mat.n)
+        return kernel(mat, rhs)
+
+    monkeypatch.setattr(schemes, "block_thomas", counted)
+    return calls
+
+
+def test_solve_factors_each_system_once(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    problem, _ = builtin_scalar_cd(1e-6)
+    spec = LayerSpec(eps=1e-6, gamma=1.0, mu=2.0, side="right")
+    solve(assemble(problem, shishkin(spec, 1024), "simple-upwind"))
+    assert calls == [1025]
+    calls.clear()
+    problem, _ = builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-4))
+    solve(assemble(problem, system_shishkin((1e-6, 1e-4), 288, both_sides=True), "central"))
+    assert calls == [289]
+
+
+def test_solve_rejects_poisoned_rhs(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
     op = assemble(_scalar_cd(), uniform_mesh(8), "simple-upwind")
     bad = dataclasses.replace(op, rhs=np.full_like(op.rhs, np.nan))
     with pytest.raises(RuntimeError, match="solver residual"):
         solve(bad)
+    assert len(calls) == 1  # no refinement pass is spent on a nan residual
 
 
 def test_solution_invariant_under_equation_row_scaling():
