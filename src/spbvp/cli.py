@@ -11,6 +11,7 @@ import json
 import sys
 
 from .harness import (
+    MESH_TAGS,
     STUDIES,
     mesh_family,
     problem_family,
@@ -50,13 +51,6 @@ MESH_FAMILIES_CLI = (
     "gartland",
     "duran-lombardi",
     "lambert",
-    "system-shishkin",
-)
-SOLVE_MESHES = (
-    "uniform",
-    "shishkin",
-    "bakhvalov-shishkin",
-    "bakhvalov-type",
     "system-shishkin",
 )
 
@@ -234,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="builtin name or a .json problem file",
     )
     solve_p.add_argument("--eps", default=None, help="override builtin eps (comma list)")
-    solve_p.add_argument("--mesh", choices=SOLVE_MESHES, default="shishkin")
+    solve_p.add_argument("--mesh", choices=MESH_TAGS, default="shishkin")
     solve_p.add_argument("--n", type=int, default=64)
     solve_p.add_argument("--scheme", choices=SCHEME_TAGS, default="simple-upwind")
     solve_p.add_argument("--out", default=None)

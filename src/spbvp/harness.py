@@ -23,6 +23,7 @@ from .meshes import (
     bakhvalov_shishkin,
     bakhvalov_type,
     diagnostics,
+    mirror,
     shishkin,
     system_shishkin,
     uniform_mesh,
@@ -35,7 +36,7 @@ from .problems import (
     builtin_strongly_coupled_example,
     builtin_strongly_coupled_variable,
     builtin_weakly_coupled_cd,
-    check_gamma,
+    default_envelope,
     oracle_reference,
 )
 from .schemes import SCHEME_TAGS, DiscreteSolution, discrete_solve, energy_norm_error
@@ -44,6 +45,7 @@ __all__ = [
     "CSV_HEADER",
     "ConvergenceReport",
     "ErrorRecord",
+    "MESH_TAGS",
     "RATE_TARGETS",
     "STUDIES",
     "StudyConfig",
@@ -533,56 +535,53 @@ def problem_family(
     raise ValueError(f"unknown problem family {name!r}")
 
 
-def _scalar_layer_spec(problem: SystemProblem, mu: float = 2.0) -> LayerSpec:
-    # constant scalar convection fixes the layer side and decay rate
-    if problem.m != 1 or problem.b is None:
-        raise ValueError("layer-adapted scalar meshes need a scalar problem with b")
-    val = float(problem.b(np.array([0.5]))[0, 0, 0])
-    if val == 0.0:
-        raise ValueError("scalar convection coefficient must not vanish")
-    return LayerSpec(
-        eps=problem.eps[0],
-        gamma=abs(val),
-        mu=mu,
-        side="right" if val > 0.0 else "left",
+MESH_TAGS = ("uniform", "shishkin", "bakhvalov-shishkin", "bakhvalov-type", "system-shishkin")
+
+
+def _scalar_layer_mesh(build, problem: SystemProblem, n: int) -> Mesh1D:
+    if problem.m != 1:
+        raise ValueError(
+            f"layer-adapted scalar meshes need a scalar problem, got m={problem.m}"
+        )
+    env = default_envelope(problem)
+    return build(LayerSpec(env.eps[0], gamma=env.rates[0], side=env.sides[0]), n)
+
+
+def _system_shishkin_mesh(problem: SystemProblem, n: int) -> Mesh1D:
+    env = default_envelope(problem)
+    if len(set(env.sides)) != 1:
+        raise ValueError(
+            f"system-shishkin needs every layer on one side, got sides {env.sides}"
+        )
+    side = env.sides[0]
+    mesh = system_shishkin(
+        problem.eps, n, sigma=2.0, beta=min(env.rates), both_sides=side == "both"
     )
+    return mirror(mesh) if side == "right" else mesh
 
 
 def mesh_family(tag: str) -> Callable[[SystemProblem, int], Mesh1D]:
-    """Problem-aware mesh builders for the study registry and the CLI."""
+    """Problem-aware mesh builders for the study registry and the CLI.
+
+    Each layer's eps, decay rate and side come from default_envelope.  The
+    scalar families take the one layer of an m = 1 problem; system-shishkin
+    uses the smallest rate, refines both ends for two-sided layers, mirrors
+    when every layer sits at x = 1 and rejects mixed sides.
+    """
+    if tag not in MESH_TAGS:
+        raise ValueError(f"unknown mesh family {tag!r}; known: {', '.join(MESH_TAGS)}")
     if tag == "uniform":
         return lambda problem, n: uniform_mesh(n)
-    scalar = {
+    if tag == "system-shishkin":
+        return _system_shishkin_mesh
+    # builders are looked up per call, so rebinding the module names
+    # (monkeypatching, tracing) takes effect
+    build = {
         "shishkin": shishkin,
         "bakhvalov-shishkin": bakhvalov_shishkin,
         "bakhvalov-type": bakhvalov_type,
-    }
-    if tag in scalar:
-        build = scalar[tag]
-        return lambda problem, n: build(_scalar_layer_spec(problem), n)
-    if tag == "system-shishkin":
-
-        def f(problem: SystemProblem, n: int) -> Mesh1D:
-            if problem.kind == "reaction-diffusion":
-                kappa = check_gamma(problem).kappa
-                if kappa is None:
-                    raise ValueError("reaction-diffusion mesh needs kappa > 0")
-                return system_shishkin(
-                    problem.eps, n, sigma=2.0, beta=kappa, both_sides=True
-                )
-            if problem.b is None:
-                raise ValueError("convection mesh families need b")
-            bdiag = np.diagonal(problem.b(np.array([0.5]))[0])
-            return system_shishkin(
-                problem.eps,
-                n,
-                sigma=2.0,
-                beta=float(np.min(np.abs(bdiag))),
-                both_sides=False,
-            )
-
-        return f
-    raise ValueError(f"unknown mesh family {tag!r}")
+    }[tag]
+    return lambda problem, n: _scalar_layer_mesh(build, problem, n)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Layer-adapted meshes on the unit interval.
 
 All constructors build the canonical orientation with the boundary layer at
-x = 0 and mirror the result when the layer sits at x = 1.  Graded families
+x = 0, and ``_oriented`` is the one place that turns those points into a
+mesh, mirrored when the layer sits at x = 1.  The piecewise families
+(``shishkin``, ``shishkin_type``, ``bakhvalov_type``) build only their layer
+points on [0, sigma]; ``_layer_mesh`` appends the uniform part and, for
+side='both', the layer points reflected at x = 1.  Graded families
 degenerate to the uniform mesh (with a note in ``Mesh1D.meta``) whenever
 their transition point would leave the admissible range; callers can rely
 on always getting a valid mesh back for any positive layer width.
@@ -153,16 +157,33 @@ def uniform_mesh(n: int, label: str = "uniform") -> Mesh1D:
     return _mesh(np.linspace(0.0, 1.0, n + 1), label, {"uniform": True})
 
 
-def _oriented(mesh: Mesh1D, side: str) -> Mesh1D:
-    """Mirror a canonical left-layer mesh when the layer is at x = 1."""
-    if side == "right":
-        return mirror(mesh)
-    return mesh
+def _oriented(pts, side: str, label: str, meta: dict) -> Mesh1D:
+    """Mesh from canonical left-layer points, mirrored when the layer is at x = 1."""
+    mesh = _mesh(pts, label, meta)
+    return mirror(mesh) if side == "right" else mesh
 
 
-def _require_even(n: int, divisor: int, who: str) -> None:
+def _layer_cells(n: int, side: str, who: str) -> tuple[int, float]:
+    """Layer cell count and transition clamp: n/4 and 1/4 for side='both',
+    n/2 and 1/2 otherwise."""
+    divisor = 4 if side == "both" else 2
     if n < 2 * divisor or n % divisor != 0:
         raise ValueError(f"{who} needs n divisible by {divisor} and >= {2 * divisor}, got {n}")
+    return n // divisor, 1.0 / divisor
+
+
+def _layer_mesh(fine: np.ndarray, n: int, side: str, label: str) -> Mesh1D:
+    """Complete the layer points on [0, sigma] with n/2 uniform cells, then
+    the layer points reflected at x = 1 for side='both', and orient."""
+    sigma = float(fine[-1])
+    if side == "both":
+        pts = np.concatenate(
+            [fine, np.linspace(sigma, 1.0 - sigma, n // 2 + 1)[1:], (1.0 - fine[::-1])[1:]]
+        )
+    else:
+        pts = np.concatenate([fine, np.linspace(sigma, 1.0, n // 2 + 1)[1:]])
+    pts[-1] = 1.0
+    return _oriented(pts, side, label, {"sigma": sigma})
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +198,10 @@ def shishkin(spec: LayerSpec, n: int) -> Mesh1D:
     1/2 is active the mesh is uniform.  side='both' splits n/4 + n/2 + n/4
     with transition min(1/4, width_scale * ln(n)).
     """
+    k, limit = _layer_cells(n, spec.side, "shishkin")
+    sigma = min(limit, spec.width_scale * math.log(n))
     label = f"shishkin(eps={spec.eps:g},n={n},side={spec.side})"
-    if spec.side == "both":
-        _require_even(n, 4, "shishkin(side=both)")
-        sigma = min(0.25, spec.width_scale * math.log(n))
-        pts = np.concatenate(
-            [
-                np.linspace(0.0, sigma, n // 4 + 1),
-                np.linspace(sigma, 1.0 - sigma, n // 2 + 1)[1:],
-                np.linspace(1.0 - sigma, 1.0, n // 4 + 1)[1:],
-            ]
-        )
-        return _mesh(pts, label, {"sigma": sigma})
-    _require_even(n, 2, "shishkin")
-    sigma = min(0.5, spec.width_scale * math.log(n))
-    pts = np.concatenate(
-        [np.linspace(0.0, sigma, n // 2 + 1), np.linspace(sigma, 1.0, n // 2 + 1)[1:]]
-    )
-    return _oriented(_mesh(pts, label, {"sigma": sigma}), spec.side)
+    return _layer_mesh(np.linspace(0.0, sigma, k + 1), n, spec.side, label)
 
 
 def shishkin_charfn(n: int) -> MeshCharFn:
@@ -228,7 +235,7 @@ def shishkin_type(spec: LayerSpec, n: int, charfn: MeshCharFn) -> Mesh1D:
     uniform up to 1.  Degenerates to the uniform mesh when the transition
     width width_scale * ln(n) reaches 1/2.
     """
-    _require_even(n, 2 if spec.side != "both" else 4, "shishkin_type")
+    k, limit = _layer_cells(n, spec.side, "shishkin_type")
     label = f"shishkin_type[{charfn.label}](eps={spec.eps:g},n={n},side={spec.side})"
     lam0 = float(charfn.lam(np.array(0.0)))
     lam_half = float(charfn.lam(np.array(0.5)))
@@ -240,29 +247,17 @@ def shishkin_type(spec: LayerSpec, n: int, charfn: MeshCharFn) -> Mesh1D:
             f"got {lam_half!r}"
         )
     a = spec.width_scale
-    limit = 0.25 if spec.side == "both" else 0.5
     if a * lam_half >= limit:
         mesh = uniform_mesh(n, label)
         mesh.meta["degenerate"] = "transition reached the uniform clamp"
         return mesh
-    k = n // 4 if spec.side == "both" else n // 2
     t = np.arange(k + 1) / (2.0 * k)  # [0, 1/2]
     lam_vals = np.asarray(charfn.lam(t), dtype=float)
     if np.any(np.diff(lam_vals) <= 0.0):
         raise ValueError("mesh-generating function is not increasing on its samples")
     fine = a * lam_vals
     fine[0] = 0.0
-    if spec.side == "both":
-        sigma = fine[-1]
-        pts = np.concatenate(
-            [fine, np.linspace(sigma, 1.0 - sigma, n // 2 + 1)[1:],
-             (1.0 - fine[::-1])[1:]]
-        )
-        pts[-1] = 1.0
-        return _mesh(pts, label, {"sigma": sigma})
-    pts = np.concatenate([fine, np.linspace(fine[-1], 1.0, n // 2 + 1)[1:]])
-    pts[-1] = 1.0
-    return _oriented(_mesh(pts, label, {"sigma": float(fine[-1])}), spec.side)
+    return _layer_mesh(fine, n, spec.side, label)
 
 
 def bakhvalov_shishkin(spec: LayerSpec, n: int) -> Mesh1D:
@@ -275,31 +270,20 @@ def bakhvalov_type(spec: LayerSpec, n: int) -> Mesh1D:
     The transition point is min(1/2, width_scale*ln(1/eps)); the mesh
     degenerates to uniform when the clamp is active or eps >= 1.
     """
-    _require_even(n, 2 if spec.side != "both" else 4, "bakhvalov_type")
+    k, limit = _layer_cells(n, spec.side, "bakhvalov_type")
     label = f"bakhvalov_type(eps={spec.eps:g},n={n},side={spec.side})"
     a = spec.width_scale
-    limit = 0.25 if spec.side == "both" else 0.5
     if spec.eps >= 1.0 or a * math.log(1.0 / spec.eps) >= limit:
         mesh = uniform_mesh(n, label)
         mesh.meta["degenerate"] = "transition reached the uniform clamp"
         return mesh
-    k = n // 4 if spec.side == "both" else n // 2
     t = np.arange(k + 1) / (2.0 * k)  # [0, 1/2]
     fine = -a * np.log1p(-2.0 * (1.0 - spec.eps) * t)
     fine[0] = 0.0
     # at t=1/2 the formula collapses to a*ln(1/eps); evaluate that directly
     # instead of routing through fl(1-eps), which costs ~eps^-1 ulps.
     fine[-1] = a * -math.log(spec.eps)
-    sigma = float(fine[-1])
-    if spec.side == "both":
-        pts = np.concatenate(
-            [fine, np.linspace(sigma, 1.0 - sigma, n // 2 + 1)[1:], (1.0 - fine[::-1])[1:]]
-        )
-        pts[-1] = 1.0
-        return _mesh(pts, label, {"sigma": sigma})
-    pts = np.concatenate([fine, np.linspace(sigma, 1.0, n // 2 + 1)[1:]])
-    pts[-1] = 1.0
-    return _oriented(_mesh(pts, label, {"sigma": sigma}), spec.side)
+    return _layer_mesh(fine, n, spec.side, label)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +347,7 @@ def bakhvalov_original(spec: LayerSpec, n: int, q: float = 0.5) -> Mesh1D:
         "c1_residual": float(g(s)),
         "endpoint_defect": residual_at_one,
     }
-    return _oriented(_mesh(pts, label, meta), spec.side)
+    return _oriented(pts, spec.side, label, meta)
 
 
 def gartland(spec: LayerSpec, h: float, variant: str = "gartland") -> Mesh1D:
@@ -415,7 +399,7 @@ def gartland(spec: LayerSpec, h: float, variant: str = "gartland") -> Mesh1D:
             pts[-1] = 0.5 * (pts[-2] + 1.0)
             pts.append(1.0)
     label = f"{variant}(eps={eps:g},h={h:g},side={spec.side})"
-    return _oriented(_mesh(pts, label, {"target_h": h}), spec.side)
+    return _oriented(pts, spec.side, label, {"target_h": h})
 
 
 def duran_lombardi(
@@ -454,7 +438,7 @@ def duran_lombardi(
         f"duran_lombardi(eps={spec.eps:g},h={h:g},kappa={kappa:g},"
         f"uniform_phase={initial_uniform},side={spec.side})"
     )
-    return _oriented(_mesh(pts, label, {"ratio": ratio}), spec.side)
+    return _oriented(pts, spec.side, label, {"ratio": ratio})
 
 
 def lambert_mesh(spec: LayerSpec, n: int, literal_form: bool = False) -> Mesh1D:
@@ -493,7 +477,7 @@ def lambert_mesh(spec: LayerSpec, n: int, literal_form: bool = False) -> Mesh1D:
     pts[0] = 0.0
     pts[-1] = 1.0
     label = f"lambert(eps={spec.eps:g},n={n},literal={literal_form},side={spec.side})"
-    return _oriented(_mesh(pts, label, {"xi_scale": float(scale)}), spec.side)
+    return _oriented(pts, spec.side, label, {"xi_scale": float(scale)})
 
 
 def _monitor_values(monitor: Callable, grid: np.ndarray) -> np.ndarray:
@@ -629,12 +613,8 @@ def system_shishkin(
     for k in range(1, m + 1):
         half.append(np.linspace(tau[k], tau[k + 1], cells + 1)[1:])
     left = np.concatenate(half)
-    if both_sides:
-        pts = np.concatenate([left, (1.0 - left[::-1])[1:]])
-        pts[-1] = 1.0
-    else:
-        pts = left
-        pts[-1] = 1.0
+    pts = np.concatenate([left, (1.0 - left[::-1])[1:]]) if both_sides else left
+    pts[-1] = 1.0
     label = (
         f"system_shishkin(m={m},n={n},sigma={sigma:g},beta={beta:g},"
         f"mirrored={both_sides})"

@@ -387,8 +387,9 @@ def solve(op: DiscreteOperator) -> DiscreteSolution:
     The scaled residual must stay below 1e-10 * (1 + max |rhs|).  The
     solver does not pivot across block rows, so near-skew rows (untreated
     convection with vanishing reaction) can amplify roundoff; up to two
-    further refinement passes restore the residual before the guard.  A
-    non-finite residual fails at once: no refinement pass can repair it.
+    further refinement passes restore the residual, which is checked after
+    every pass.  A non-finite residual fails at once: no refinement pass can
+    repair it.
     """
     mat = op.matrix
     u = block_thomas(mat, op.rhs)
@@ -397,11 +398,10 @@ def solve(op: DiscreteOperator) -> DiscreteSolution:
     scale[:-1] += np.abs(mat.sup).sum(axis=2)
     np.maximum(scale, 1.0, out=scale)
     tol = 1e-10 * (1.0 + float(np.max(np.abs(op.rhs))))
-    residual = math.inf
-    for _ in range(3):
+    for passes in range(3):
         r = mat.matvec(u) - op.rhs
         residual = float(np.max(np.abs(r) / scale))
-        if residual <= tol or not math.isfinite(residual):
+        if residual <= tol or not math.isfinite(residual) or passes == 2:
             break
         u = u - block_thomas(mat, r)
     if not residual <= tol:  # nan-proof: refuses non-finite residuals too

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spbvp.cli import main
-from spbvp.harness import mesh_family, problem_family, report_emit, sweep
+from spbvp.harness import MESH_TAGS, mesh_family, problem_family, report_emit, sweep
 from spbvp.schemes import discrete_solve
 
 
@@ -109,6 +109,21 @@ def test_solve_reads_problem_json(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,u_1,u_2"
     assert len(lines) == 26
+
+
+def test_solve_accepts_every_mesh_tag(capsys):
+    for tag in MESH_TAGS:
+        code, out, _ = _run(capsys, "solve", "--mesh", tag, "--n", "16")
+        assert code == 0 and len(out.strip().splitlines()) == 18
+    code, _, err = _run(capsys, "solve", "--mesh", "gartland")
+    assert code == 3 and "invalid choice" in err
+
+
+def test_solve_without_layer_data_is_config_error(capsys):
+    code, out, err = _run(capsys, "solve", "--problem", "strongly-coupled-variable",
+                          "--mesh", "system-shishkin", "--n", "24")
+    assert code == 3 and out == ""
+    assert "default envelope for strong coupling needs constant convection" in err
 
 
 def test_solve_scheme_mismatch_is_a_solve_failure(capsys):

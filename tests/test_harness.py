@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spbvp import meshes
 from spbvp.harness import (
     CSV_HEADER,
     ConvergenceReport,
@@ -27,7 +28,18 @@ from spbvp.harness import (
     study_from_dict,
     sweep,
 )
-from spbvp.problems import ReferenceSolution, builtin_scalar_cd, oracle_reference
+from spbvp.meshes import LayerSpec, shishkin, system_shishkin
+from spbvp.problems import (
+    ReferenceSolution,
+    SystemProblem,
+    builtin_reaction_diffusion_system,
+    builtin_scalar_cd,
+    builtin_strongly_coupled_example,
+    builtin_weakly_coupled_cd,
+    coefficient,
+    default_envelope,
+    oracle_reference,
+)
 from spbvp.schemes import discrete_solve
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -418,6 +430,66 @@ def test_mesh_families_read_layer_data_off_the_problem():
     assert "side=right" in mesh.label  # b = +1 puts the layer at x = 1
     uni = mesh_family("uniform")(problem, 10)
     assert np.allclose(np.diff(uni.points), 0.1)
+
+
+def test_system_shishkin_mirrors_right_side_layers():
+    problem, _ = builtin_scalar_cd(1e-4)
+    for n in (64, 1024):
+        mesh = mesh_family("system-shishkin")(problem, n)
+        assert np.array_equal(mesh.points, mesh_family("shishkin")(problem, n).points)
+        assert mesh.spacings[-1] < mesh.spacings[0]  # fine cells at x = 1
+
+
+def test_system_shishkin_uses_envelope_rate_and_sides():
+    problem, _ = builtin_strongly_coupled_example(1e-4)
+    mesh = mesh_family("system-shishkin")(problem, 96)
+    assert np.max(np.abs(mesh.points + mesh.points[::-1] - 1.0)) <= 1e-15
+    # B's eigenvalues are -5 and 5: rate 5, not B's diagonal 3
+    want = system_shishkin(problem.eps, 96, beta=5.0, both_sides=True)
+    assert np.array_equal(mesh.points, want.points)
+
+
+def test_system_shishkin_rejects_mixed_sides():
+    problem = SystemProblem(
+        m=2,
+        eps=(1e-4, 1e-3),
+        kind="weakly-coupled-cd",
+        b=coefficient(np.diag([1.0, -1.0]), (2, 2)),
+        a=coefficient(np.eye(2), (2, 2)),
+        f=coefficient(np.ones(2), (2,)),
+    )
+    with pytest.raises(ValueError, match=r"one side.*'right', 'left'"):
+        mesh_family("system-shishkin")(problem, 96)
+
+
+def test_scalar_families_refine_both_ends_for_reaction_diffusion():
+    problem, _ = builtin_reaction_diffusion_system(m=1, eps=(1e-4,))
+    kappa = default_envelope(problem).rates[0]
+    spec = LayerSpec(1e-4, gamma=kappa, side="both")
+    mesh = mesh_family("shishkin")(problem, 64)
+    assert np.array_equal(mesh.points, shishkin(spec, 64).points)
+    with pytest.raises(ValueError, match="need a scalar problem, got m=2"):
+        mesh_family("shishkin")(builtin_strongly_coupled_example(1e-4)[0], 64)
+
+
+def test_oracle_builtins_solve_on_the_study_mesh_family(monkeypatch):
+    built = []
+    original = meshes.system_shishkin
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(meshes, "system_shishkin", recording)
+    for problem, ref in (
+        builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-3)),
+        builtin_weakly_coupled_cd(m=2, eps=(1e-8, 1e-4)),
+    ):
+        built.clear()
+        ref(np.array([0.5]))
+        assert len(built) == 1
+        study_mesh = mesh_family("system-shishkin")(problem, ref.n_ref)
+        assert np.array_equal(built[0].points, study_mesh.points)
 
 
 def test_run_study_small_smooth_case():

@@ -419,6 +419,21 @@ def test_solve_rejects_poisoned_rhs(monkeypatch):
     assert len(calls) == 1  # no refinement pass is spent on a nan residual
 
 
+def test_solve_checks_residual_after_every_pass(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    problem, _ = builtin_scalar_cd(1e-2)
+    op = assemble(problem, uniform_mesh(16), "simple-upwind")
+    mat = op.matrix
+    sub, diag, sup = mat.sub.copy(), mat.diag.copy(), mat.sup.copy()
+    diag[4] *= 1e-17
+    sub[3] *= 1e-17
+    sup[4] *= 1e-17
+    bad = dataclasses.replace(op, matrix=dataclasses.replace(mat, sub=sub, diag=diag, sup=sup))
+    with pytest.raises(RuntimeError, match="solver residual"):
+        solve(bad)
+    assert len(calls) == 3  # the solve and two further passes, each checked
+
+
 def test_solution_invariant_under_equation_row_scaling():
     alpha = 32.0
     base = dict(
