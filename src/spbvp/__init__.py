@@ -38,7 +38,6 @@ from .meshes import (
 from .problems import (
     BUILTIN_PROBLEMS,
     Coefficient,
-    LayerEnvelope,
     ReferenceSolution,
     StabilityReport,
     SystemProblem,

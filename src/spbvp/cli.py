@@ -103,11 +103,10 @@ def _build_mesh(args) -> Mesh1D:
         )
     if args.family == "uniform":
         return uniform_mesh(args.n)
+    layers = [LayerSpec(eps=e, gamma=args.gamma, mu=args.mu, side=args.side) for e in eps]
     if args.family == "system-shishkin":
-        return system_shishkin(
-            eps, args.n, sigma=args.mu, beta=args.gamma, both_sides=args.side == "both"
-        )
-    spec = LayerSpec(eps=eps[0], gamma=args.gamma, mu=args.mu, side=args.side)
+        return system_shishkin(layers, args.n)
+    spec = layers[0]
     if args.family == "shishkin":
         return shishkin(spec, args.n)
     if args.family == "bakhvalov-shishkin":

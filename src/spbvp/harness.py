@@ -18,12 +18,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .meshes import (
-    LayerSpec,
     Mesh1D,
     bakhvalov_shishkin,
     bakhvalov_type,
     diagnostics,
-    mirror,
     shishkin,
     system_shishkin,
     uniform_mesh,
@@ -338,6 +336,8 @@ def sweep(
     epss = tuple(_eps_key(e) for e in eps_list)
     if not ns or not epss:
         raise ValueError("n_list and eps_list must be non-empty")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"n_list must increase strictly, got {ns}")
     pairs = [problem_family(e) for e in epss]
 
     def cell(n: int, eps: tuple[float, ...], problem, ref) -> ErrorRecord:
@@ -543,21 +543,7 @@ def _scalar_layer_mesh(build, problem: SystemProblem, n: int) -> Mesh1D:
         raise ValueError(
             f"layer-adapted scalar meshes need a scalar problem, got m={problem.m}"
         )
-    env = default_envelope(problem)
-    return build(LayerSpec(env.eps[0], gamma=env.rates[0], side=env.sides[0]), n)
-
-
-def _system_shishkin_mesh(problem: SystemProblem, n: int) -> Mesh1D:
-    env = default_envelope(problem)
-    if len(set(env.sides)) != 1:
-        raise ValueError(
-            f"system-shishkin needs every layer on one side, got sides {env.sides}"
-        )
-    side = env.sides[0]
-    mesh = system_shishkin(
-        problem.eps, n, sigma=2.0, beta=min(env.rates), both_sides=side == "both"
-    )
-    return mirror(mesh) if side == "right" else mesh
+    return build(default_envelope(problem)[0], n)
 
 
 def mesh_family(tag: str) -> Callable[[SystemProblem, int], Mesh1D]:
@@ -565,15 +551,14 @@ def mesh_family(tag: str) -> Callable[[SystemProblem, int], Mesh1D]:
 
     Each layer's eps, decay rate and side come from default_envelope.  The
     scalar families take the one layer of an m = 1 problem; system-shishkin
-    uses the smallest rate, refines both ends for two-sided layers, mirrors
-    when every layer sits at x = 1 and rejects mixed sides.
+    takes every layer.
     """
     if tag not in MESH_TAGS:
         raise ValueError(f"unknown mesh family {tag!r}; known: {', '.join(MESH_TAGS)}")
     if tag == "uniform":
         return lambda problem, n: uniform_mesh(n)
     if tag == "system-shishkin":
-        return _system_shishkin_mesh
+        return lambda problem, n: system_shishkin(default_envelope(problem), n)
     # builders are looked up per call, so rebinding the module names
     # (monkeypatching, tracing) takes effect
     build = {

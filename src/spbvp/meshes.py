@@ -2,7 +2,8 @@
 
 All constructors build the canonical orientation with the boundary layer at
 x = 0, and ``_oriented`` is the one place that turns those points into a
-mesh, mirrored when the layer sits at x = 1.  The piecewise families
+mesh, mirrored when the layer sits at x = 1; ``system_shishkin`` orients
+its nested bands through it too.  The piecewise families
 (``shishkin``, ``shishkin_type``, ``bakhvalov_type``) build only their layer
 points on [0, sigma]; ``_layer_mesh`` appends the uniform part and, for
 side='both', the layer points reflected at x = 1.  Graded families
@@ -95,7 +96,9 @@ class Mesh1D:
 class LayerSpec:
     """Layer description: decay exp(-gamma*x/eps) at the given side(s).
 
-    mu is the order parameter scaling the resolved width mu*eps/gamma.
+    mu is the order parameter scaling the resolved width mu*eps/gamma.  One
+    LayerSpec per solution component is what every layer-adapted mesh and
+    the derivative-bound check read.
     """
 
     eps: float
@@ -116,6 +119,20 @@ class LayerSpec:
     @property
     def width_scale(self) -> float:
         return self.mu * self.eps / self.gamma
+
+    def bound(self, x: np.ndarray, k: int = 0) -> np.ndarray:
+        """Derivative bound shape 1 + eps^{-k} * (exponentials at the layer
+        sides), for derivative orders k in {0, 1, 2}."""
+        if k not in (0, 1, 2):
+            raise ValueError(f"derivative order must be 0, 1 or 2, got {k}")
+        x = np.asarray(x, dtype=float)
+        amp = self.eps ** (-k)
+        out = np.ones_like(x)
+        if self.side in ("left", "both"):
+            out = out + amp * np.exp(-self.gamma * x / self.eps)
+        if self.side in ("right", "both"):
+            out = out + amp * np.exp(-self.gamma * (1.0 - x) / self.eps)
+        return out
 
 
 @dataclass(frozen=True)
@@ -572,30 +589,31 @@ def equidistribute(
     )
 
 
-def system_shishkin(
-    eps_list: tuple[float, ...] | list[float],
-    n: int,
-    sigma: float = 2.0,
-    beta: float = 1.0,
-    both_sides: bool = False,
-) -> Mesh1D:
+def system_shishkin(layers: tuple[LayerSpec, ...] | list[LayerSpec], n: int) -> Mesh1D:
     """Nested piecewise-uniform mesh for systems with several layer widths.
 
-    Transition points descend from tau_{m+1} = 1 (or 1/2 when mirrored) via
-    tau_k = min(k*tau_{k+1}/(k+1), sigma*eps_k*ln(n)/beta) for the ascending
-    eps_k, and every band [tau_k, tau_{k+1}] carries the same cell count.
-    both_sides=True mirrors the band structure onto [1/2, 1] (layers at both
-    ends).
+    Transition points descend from tau_{m+1} = 1 (or 1/2 for side='both')
+    via tau_k = min(k*tau_{k+1}/(k+1), sigma*eps_k*ln(n)/beta) for the
+    ascending eps_k, with sigma the layers' common mu and beta their
+    smallest gamma; every band [tau_k, tau_{k+1}] carries the same cell
+    count.  side='both' reflects the bands onto [1/2, 1]; side='right'
+    mirrors the mesh.
     """
-    eps_arr = [float(e) for e in eps_list]
-    if not eps_arr:
-        raise ValueError("eps_list must be non-empty")
-    if any(e <= 0.0 for e in eps_arr):
-        raise ValueError(f"eps values must be positive, got {eps_arr}")
+    layers = tuple(layers)
+    if not layers:
+        raise ValueError("system_shishkin needs at least one layer")
+    sides = tuple(layer.side for layer in layers)
+    if len(set(sides)) != 1:
+        raise ValueError(f"system_shishkin needs every layer on one side, got sides {sides}")
+    mus = tuple(layer.mu for layer in layers)
+    if len(set(mus)) != 1:
+        raise ValueError(f"system_shishkin needs one mu for every layer, got {mus}")
+    eps_arr = [layer.eps for layer in layers]
     if any(b < a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError(f"eps values must ascend, got {eps_arr}")
-    if not sigma > 0.0 or not beta > 0.0:
-        raise ValueError(f"sigma and beta must be positive, got {sigma!r}, {beta!r}")
+    side, sigma = sides[0], mus[0]
+    beta = min(layer.gamma for layer in layers)
+    both_sides = side == "both"
     m = len(eps_arr)
     bands = m + 1
     per = 2 * bands if both_sides else bands
@@ -619,7 +637,7 @@ def system_shishkin(
         f"system_shishkin(m={m},n={n},sigma={sigma:g},beta={beta:g},"
         f"mirrored={both_sides})"
     )
-    return _mesh(pts, label, {"taus": tuple(float(t) for t in tau)})
+    return _oriented(pts, side, label, {"taus": tuple(float(t) for t in tau)})
 
 
 def mirror(mesh: Mesh1D) -> Mesh1D:

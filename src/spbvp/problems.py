@@ -7,7 +7,8 @@ A SystemProblem bundles the data of
 where d_i = eps_i for the convection-diffusion kinds and d_i = eps_i**2 for
 reaction-diffusion.  Alongside the containers live the algebraic stability
 pre-checks (inverse-monotonicity of comparison matrices built from coefficient
-norms), layer envelopes with fитted-constant checks, and the built-in
+norms), the layer data of each problem (``default_envelope``, one
+``LayerSpec`` per component) with fitted-constant checks, and the built-in
 reference problems used by the convergence harness.
 """
 from __future__ import annotations
@@ -19,12 +20,13 @@ from typing import Callable
 
 import numpy as np
 
+from .meshes import LayerSpec, system_shishkin
+
 __all__ = [
     "Coefficient",
     "SystemProblem",
     "StabilityReport",
     "ReferenceSolution",
-    "LayerEnvelope",
     "coefficient",
     "check_gamma",
     "check_upsilon",
@@ -371,66 +373,26 @@ class ReferenceSolution:
         return self.derivative_fn(np.atleast_1d(np.asarray(x, dtype=float)), order)
 
 
-@dataclass(frozen=True)
-class LayerEnvelope:
-    """Per-component bound shape 1 + eps^{-k} * (exponentials at the layer
-    sides); evaluable for derivative orders k in {0, 1, 2}."""
-
-    eps: tuple[float, ...]
-    rates: tuple[float, ...]
-    sides: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not len(self.eps) == len(self.rates) == len(self.sides):
-            raise ValueError("eps, rates, sides must have equal length")
-        if any(e <= 0.0 for e in self.eps) or any(r <= 0.0 for r in self.rates):
-            raise ValueError("eps and rates must be positive")
-        if any(s not in ("left", "right", "both") for s in self.sides):
-            raise ValueError(f"sides must be left/right/both, got {self.sides}")
-
-    @property
-    def m(self) -> int:
-        return len(self.eps)
-
-    def component(self, i: int, x: np.ndarray, k: int = 0) -> np.ndarray:
-        if k not in (0, 1, 2):
-            raise ValueError(f"derivative order must be 0, 1 or 2, got {k}")
-        x = np.asarray(x, dtype=float)
-        e, r, side = self.eps[i], self.rates[i], self.sides[i]
-        amp = e ** (-k)
-        out = np.ones_like(x)
-        if side in ("left", "both"):
-            out = out + amp * np.exp(-r * x / e)
-        if side in ("right", "both"):
-            out = out + amp * np.exp(-r * (1.0 - x) / e)
-        return out
-
-    def evaluate(self, x: np.ndarray, k: int = 0) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.stack([self.component(i, x, k) for i in range(self.m)], axis=1)
-
-
-def default_envelope(problem: SystemProblem) -> LayerEnvelope:
-    """Envelope with the decay rates implied by the problem coefficients."""
+def default_envelope(problem: SystemProblem) -> tuple[LayerSpec, ...]:
+    """One layer per component, with the decay rate and side implied by the
+    problem coefficients."""
     x = np.linspace(0.0, 1.0, 257)
     if problem.kind == "reaction-diffusion":
         kappa = check_gamma(problem).kappa
-        return LayerEnvelope(
-            eps=problem.eps, rates=(kappa,) * problem.m, sides=("both",) * problem.m
-        )
+        return tuple(LayerSpec(e, gamma=kappa, side="both") for e in problem.eps)
     b_vals = problem.b(x)
     if problem.kind == "weakly-coupled-cd":
-        rates, sides = [], []
-        for i in range(problem.m):
+        layers = []
+        for i, e in enumerate(problem.eps):
             bi = b_vals[:, i, i]
             if np.all(bi > 0.0):
-                sides.append("right")
+                side = "right"
             elif np.all(bi < 0.0):
-                sides.append("left")
+                side = "left"
             else:
                 raise ValueError(f"component {i}: convection changes sign; no single layer side")
-            rates.append(float(np.min(np.abs(bi))))
-        return LayerEnvelope(eps=problem.eps, rates=tuple(rates), sides=tuple(sides))
+            layers.append(LayerSpec(e, gamma=float(np.min(np.abs(bi))), side=side))
+        return tuple(layers)
     if not problem.b.is_constant:
         raise ValueError("default envelope for strong coupling needs constant convection")
     b = problem.b.constant
@@ -440,9 +402,7 @@ def default_envelope(problem: SystemProblem) -> LayerEnvelope:
     if np.any(np.abs(lam) < 1e-14):
         raise ValueError("convection matrix has a zero eigenvalue; no exponential layers")
     rate = float(np.min(np.abs(lam)))
-    return LayerEnvelope(
-        eps=problem.eps, rates=(rate,) * problem.m, sides=("both",) * problem.m
-    )
+    return tuple(LayerSpec(e, gamma=rate, side="both") for e in problem.eps)
 
 
 def _layer_sample_grid(eps: float, rate: float, side: str) -> np.ndarray:
@@ -466,8 +426,10 @@ def _layer_sample_grid(eps: float, rate: float, side: str) -> np.ndarray:
     return grid[keep]
 
 
-def envelope_check(ref: ReferenceSolution, env: LayerEnvelope, k: int = 0) -> float:
-    """Fit the smallest C with |u_i^{(k)}| <= C * envelope_i pointwise.
+def envelope_check(
+    ref: ReferenceSolution, layers: tuple[LayerSpec, ...], k: int = 0
+) -> float:
+    """Fit the smallest C with |u_i^{(k)}| <= C * layers[i].bound pointwise.
 
     Derivatives are taken by central differences on a grid with step
     eps/50 inside the layer regions, so the fitted constant is meaningful
@@ -477,12 +439,12 @@ def envelope_check(ref: ReferenceSolution, env: LayerEnvelope, k: int = 0) -> fl
     if k not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {k}")
     worst = 0.0
-    for i in range(env.m):
-        grid = _layer_sample_grid(env.eps[i], env.rates[i], env.sides[i])
+    for i, layer in enumerate(layers):
+        grid = _layer_sample_grid(layer.eps, layer.gamma, layer.side)
         vals = ref(grid)[:, i]
         for _ in range(k):
             vals = np.gradient(vals, grid)
-        bound = env.component(i, grid, k)
+        bound = layer.bound(grid, k)
         if k:
             # a k-th difference quotient samples the derivative somewhere in
             # its +-k stencil, so compare against the envelope max over that
@@ -817,21 +779,14 @@ def builtin_reaction_diffusion_system(
         f=f,
         label=f"reaction-diffusion(m={m},eps={','.join(f'{e:g}' for e in eps_sorted)})",
     )
-    kappa = check_gamma(problem).kappa
     per = 2 * (m + 1)
     n_ref = ((n_ref + per - 1) // per) * per
-
-    def mesh_factory(n: int):
-        from .meshes import system_shishkin
-
-        return system_shishkin(eps_sorted, n, sigma=2.0, beta=kappa, both_sides=True)
-
     ref = oracle_reference(
         problem,
         n_ref,
         "central",
-        mesh_factory,
-        mesh_label=f"system_shishkin(both_sides,beta={kappa:g})",
+        lambda n: system_shishkin(default_envelope(problem), n),
+        mesh_label="system_shishkin(default_envelope)",
     )
     return problem, ref
 
@@ -864,18 +819,12 @@ def builtin_weakly_coupled_cd(
     )
     per = m + 1
     n_ref = ((n_ref + per - 1) // per) * per
-
-    def mesh_factory(n: int):
-        from .meshes import system_shishkin
-
-        return system_shishkin(eps_sorted, n, sigma=2.0, beta=1.0, both_sides=False)
-
     ref = oracle_reference(
         problem,
         n_ref,
         "simple-upwind",
-        mesh_factory,
-        mesh_label="system_shishkin(beta=1)",
+        lambda n: system_shishkin(default_envelope(problem), n),
+        mesh_label="system_shishkin(default_envelope)",
     )
     return problem, ref
 

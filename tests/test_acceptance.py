@@ -212,11 +212,11 @@ def _mesh_zoo(eps: float, n: int):
     yield "duran-lombardi", duran_lombardi(spec, h)
     yield "lambert", lambert_mesh(spec, n)
     yield "equidistributed", equidistribute(lambda s: np.ones_like(s), n)
-    yield "system-shishkin", system_shishkin((eps,), n)
-    yield "system-shishkin-mirrored", system_shishkin((eps,), n, both_sides=True)
+    yield "system-shishkin", system_shishkin([LayerSpec(eps)], n)
+    yield "system-shishkin-mirrored", system_shishkin([LayerSpec(eps, side="both")], n)
     n2 = 6 * ((n + 5) // 6)  # two-eps mirrored mesh needs n divisible by 6
     yield "system-shishkin-2eps", system_shishkin(
-        (eps * 1e-3, eps), n2, both_sides=True
+        [LayerSpec(eps * 1e-3, side="both"), LayerSpec(eps, side="both")], n2
     )
 
 

@@ -75,6 +75,25 @@ def test_mesh_system_family_takes_eps_list(capsys):
     assert "system_shishkin" in out
 
 
+def _mesh_rows(out):
+    return [ln for ln in out.splitlines() if not ln.startswith(("i,", "#"))]
+
+
+def test_mesh_system_family_keeps_right_side(capsys):
+    code, out, _ = _run(capsys, "mesh", "--family", "system-shishkin",
+                        "--eps", "1e-6,1e-3", "--n", "12", "--side", "right")
+    assert code == 0
+    h = [float(row.split(",")[2]) for row in _mesh_rows(out)[1:]]
+    assert h[-1] < 1e-5 < h[0]  # fine cells at x = 1
+    for n in ("8", "64", "1024"):
+        for eps in ("1e-2", "1e-4", "1e-8"):
+            args = ("--eps", eps, "--n", n, "--side", "right")
+            code, system, _ = _run(capsys, "mesh", "--family", "system-shishkin", *args)
+            assert code == 0
+            _, scalar, _ = _run(capsys, "mesh", "--family", "shishkin", *args)
+            assert _mesh_rows(system) == _mesh_rows(scalar)
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spbvp import meshes
+from spbvp import harness, problems
 from spbvp.harness import (
     CSV_HEADER,
     ConvergenceReport,
@@ -273,6 +273,28 @@ def test_sweep_records_cell_failures_without_aborting():
     assert body[1].endswith(",,,,,")
 
 
+def test_sweep_rejects_unordered_n_list_before_solving(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return discrete_solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "discrete_solve", counting)
+    cfg = study_from_dict(
+        {
+            "problem": "scalar-cd",
+            "scheme": "simple-upwind",
+            "mesh": "shishkin",
+            "N_list": [4096, 2048, 1024],
+            "eps_list": [1e-4, 1e-6, 1e-8],
+        }
+    )
+    with pytest.raises(ValueError, match=r"n_list must increase strictly, got \(4096, 2048, 1024\)"):
+        run_study(cfg)
+    assert calls == []
+
+
 def test_sweep_rejects_empty_grids():
     with pytest.raises(ValueError, match="non-empty"):
         sweep(
@@ -445,7 +467,7 @@ def test_system_shishkin_uses_envelope_rate_and_sides():
     mesh = mesh_family("system-shishkin")(problem, 96)
     assert np.max(np.abs(mesh.points + mesh.points[::-1] - 1.0)) <= 1e-15
     # B's eigenvalues are -5 and 5: rate 5, not B's diagonal 3
-    want = system_shishkin(problem.eps, 96, beta=5.0, both_sides=True)
+    want = system_shishkin([LayerSpec(e, gamma=5.0, side="both") for e in problem.eps], 96)
     assert np.array_equal(mesh.points, want.points)
 
 
@@ -464,7 +486,7 @@ def test_system_shishkin_rejects_mixed_sides():
 
 def test_scalar_families_refine_both_ends_for_reaction_diffusion():
     problem, _ = builtin_reaction_diffusion_system(m=1, eps=(1e-4,))
-    kappa = default_envelope(problem).rates[0]
+    kappa = default_envelope(problem)[0].gamma
     spec = LayerSpec(1e-4, gamma=kappa, side="both")
     mesh = mesh_family("shishkin")(problem, 64)
     assert np.array_equal(mesh.points, shishkin(spec, 64).points)
@@ -474,13 +496,13 @@ def test_scalar_families_refine_both_ends_for_reaction_diffusion():
 
 def test_oracle_builtins_solve_on_the_study_mesh_family(monkeypatch):
     built = []
-    original = meshes.system_shishkin
+    original = problems.system_shishkin
 
     def recording(*args, **kwargs):
         built.append(original(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(meshes, "system_shishkin", recording)
+    monkeypatch.setattr(problems, "system_shishkin", recording)
     for problem, ref in (
         builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-3)),
         builtin_weakly_coupled_cd(m=2, eps=(1e-8, 1e-4)),

@@ -421,39 +421,67 @@ def test_equidistribute_scalar_callable_accepted():
 # ---------------------------------------------------------------------------
 
 
+def _layers(eps, **kwargs):
+    return [LayerSpec(e, **kwargs) for e in eps]
+
+
 def test_multiscale_frozen_transition_points():
-    m = system_shishkin((1e-6, 1e-3), 96)
+    m = system_shishkin(_layers((1e-6, 1e-3)), 96)
     assert m.meta["taus"] == pytest.approx(SYS_TAUS, rel=1e-14)
     assert m.points[32] == pytest.approx(SYS_TAUS[1], rel=1e-14)
     assert m.points[64] == pytest.approx(SYS_TAUS[2], rel=1e-14)
 
 
 def test_multiscale_single_scale_equals_two_zone():
-    a = system_shishkin((1e-4,), 64, sigma=2.0, beta=1.0)
+    a = system_shishkin([LayerSpec(eps=1e-4, gamma=1.0, mu=2.0)], 64)
     b = shishkin(LayerSpec(eps=1e-4, gamma=1.0, mu=2.0), 64)
     assert np.array_equal(a.points, b.points)
 
 
 def test_multiscale_wide_layers_give_uniform():
-    m = system_shishkin((0.3, 0.4), 96)
+    m = system_shishkin(_layers((0.3, 0.4)), 96)
     assert np.allclose(m.points, np.linspace(0.0, 1.0, 97), atol=1e-14)
 
 
 def test_multiscale_divisibility_enforced():
     with pytest.raises(ValueError):
-        system_shishkin((1e-6, 1e-3), 100)  # needs multiples of 3
+        system_shishkin(_layers((1e-6, 1e-3)), 100)  # needs multiples of 3
 
 
 def test_multiscale_requires_ascending_eps():
     with pytest.raises(ValueError):
-        system_shishkin((1e-3, 1e-6), 96)
+        system_shishkin(_layers((1e-3, 1e-6)), 96)
 
 
 def test_multiscale_mirrored_bands():
-    m = system_shishkin((1e-6, 1e-3), 96, both_sides=True)
+    m = system_shishkin(_layers((1e-6, 1e-3), side="both"), 96)
     assert m.meta["taus"][-1] == 0.5
     assert np.allclose(m.points + m.points[::-1], 1.0, atol=1e-15)
     assert m.n_cells == 96
+
+
+def test_multiscale_right_side_layer_equals_shishkin():
+    for n in (8, 64, 1024):
+        for eps in (1e-2, 1e-4, 1e-8):
+            spec = LayerSpec(eps, side="right")
+            m = system_shishkin([spec], n)
+            assert np.array_equal(m.points, shishkin(spec, n).points)
+            assert m.spacings[-1] <= m.spacings[0]  # fine cells at x = 1
+
+
+def test_multiscale_takes_smallest_gamma():
+    mixed = system_shishkin([LayerSpec(1e-6, gamma=5.0), LayerSpec(1e-3, gamma=3.0)], 96)
+    want = system_shishkin(_layers((1e-6, 1e-3), gamma=3.0), 96)
+    assert np.array_equal(mixed.points, want.points)
+
+
+def test_multiscale_rejects_mixed_sides_and_mu():
+    with pytest.raises(ValueError, match=r"one side.*'left', 'right'"):
+        system_shishkin([LayerSpec(1e-6), LayerSpec(1e-3, side="right")], 96)
+    with pytest.raises(ValueError, match=r"one mu.*\(2\.0, 1\.0\)"):
+        system_shishkin([LayerSpec(1e-6), LayerSpec(1e-3, mu=1.0)], 96)
+    with pytest.raises(ValueError, match="at least one layer"):
+        system_shishkin([], 96)
 
 
 # ---------------------------------------------------------------------------

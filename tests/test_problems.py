@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spbvp.meshes import LayerSpec
 from spbvp.problems import (
     BUILTIN_PROBLEMS,
     Coefficient,
-    LayerEnvelope,
     ReferenceSolution,
     SystemProblem,
     builtin_reaction_diffusion_system,
@@ -482,44 +482,42 @@ def test_reference_solution_validation():
 # envelopes
 
 
-def test_envelope_validation():
-    with pytest.raises(ValueError, match="equal length"):
-        LayerEnvelope(eps=(1e-3,), rates=(1.0, 2.0), sides=("left",))
-    with pytest.raises(ValueError, match="positive"):
-        LayerEnvelope(eps=(0.0,), rates=(1.0,), sides=("left",))
-    with pytest.raises(ValueError, match="sides"):
-        LayerEnvelope(eps=(1e-3,), rates=(1.0,), sides=("top",))
-
-
 def test_envelope_component_values():
-    env = LayerEnvelope(eps=(1e-2,), rates=(2.0,), sides=("both",))
+    layer = LayerSpec(1e-2, gamma=2.0, side="both")
     # at x = 0 the left term is 1 and the right term is exp(-2/eps)
-    assert env.component(0, np.array(0.0), 0) == pytest.approx(2.0)
-    assert env.component(0, np.array(0.0), 1) == pytest.approx(1.0 + 1e2)
-    assert env.component(0, np.array(0.0), 2) == pytest.approx(1.0 + 1e4)
-    mid = env.component(0, np.array(0.5), 2)
+    assert layer.bound(np.array(0.0), 0) == pytest.approx(2.0)
+    assert layer.bound(np.array(0.0), 1) == pytest.approx(1.0 + 1e2)
+    assert layer.bound(np.array(0.0), 2) == pytest.approx(1.0 + 1e4)
+    mid = layer.bound(np.array(0.5), 2)
     assert mid == pytest.approx(1.0 + 2e4 * math.exp(-100.0))
-    out = env.evaluate(np.linspace(0, 1, 7), k=1)
-    assert out.shape == (7, 1)
+    assert layer.bound(np.linspace(0, 1, 7), k=1).shape == (7,)
+    left = LayerSpec(1e-2, gamma=2.0, side="left").bound(np.array([0.0, 1.0]))
+    right = LayerSpec(1e-2, gamma=2.0, side="right").bound(np.array([0.0, 1.0]))
+    assert left[0] == right[1] == 2.0 and left[1] == right[0] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="order"):
-        env.component(0, np.array(0.0), 3)
+        layer.bound(np.array(0.0), 3)
 
 
 def test_default_envelope_per_kind():
     ps, _ = builtin_scalar_cd(1e-4)
-    es = default_envelope(ps)
-    assert es.sides == ("right",) and es.rates == (1.0,)
+    assert default_envelope(ps) == (LayerSpec(1e-4, gamma=1.0, side="right"),)
     p2, _ = builtin_strongly_coupled_example(1e-4)
     e2 = default_envelope(p2)
-    assert e2.sides == ("both", "both")
-    np.testing.assert_allclose(e2.rates, (5.0, 5.0), rtol=1e-12)
+    assert [layer.side for layer in e2] == ["both", "both"]
+    assert [layer.eps for layer in e2] == list(p2.eps)
+    np.testing.assert_allclose([layer.gamma for layer in e2], (5.0, 5.0), rtol=1e-12)
     p3, _ = builtin_reaction_diffusion_system()
     e3 = default_envelope(p3)
-    assert e3.sides == ("both", "both")
-    np.testing.assert_allclose(e3.rates, (KAPPA_RD_DEFAULT,) * 2, rtol=1e-14)
+    assert [layer.side for layer in e3] == ["both", "both"]
+    assert [layer.eps for layer in e3] == [1e-6, 1e-3]
+    np.testing.assert_allclose(
+        [layer.gamma for layer in e3], (KAPPA_RD_DEFAULT,) * 2, rtol=1e-14
+    )
     p4, _ = builtin_weakly_coupled_cd()
-    e4 = default_envelope(p4)
-    assert e4.sides == ("left", "left") and e4.rates == (1.0, 1.0)
+    assert default_envelope(p4) == (
+        LayerSpec(1e-6, gamma=1.0, side="left"),
+        LayerSpec(1e-3, gamma=1.0, side="left"),
+    )
     skew = SystemProblem(
         m=2, eps=(1e-4, 1e-4), kind="strongly-coupled-cd",
         b=coefficient(np.array([[-3.0, -4.0], [0.0, 3.0]]), (2, 2)),
@@ -610,9 +608,8 @@ def test_dominant_reaction_always_passes_gamma(diag, off):
 )
 @settings(max_examples=60, deadline=None)
 def test_envelope_positive_and_at_least_one(eps, rate, side, k):
-    env = LayerEnvelope(eps=(eps,), rates=(rate,), sides=(side,))
     xs = np.linspace(0.0, 1.0, 33)
-    vals = env.evaluate(xs, k)
-    assert vals.shape == (33, 1)
+    vals = LayerSpec(eps, gamma=rate, side=side).bound(xs, k)
+    assert vals.shape == (33,)
     assert np.all(vals >= 1.0)
     assert np.all(np.isfinite(vals))

@@ -290,7 +290,7 @@ def test_ias_is_nodally_exact_on_constant_coefficient_2x2():
 
 def test_fem_matrix_symmetric_and_interior_positive_definite():
     problem, _ = builtin_reaction_diffusion_system()
-    mesh = system_shishkin(problem.eps, 36, sigma=2.0, beta=1.3, both_sides=True)
+    mesh = system_shishkin([LayerSpec(e, gamma=1.3, side="both") for e in problem.eps], 36)
     op = assemble(problem, mesh, "galerkin-fem")
     dense = op.matrix.to_dense()
     asym = float(np.max(np.abs(dense - dense.T)))
@@ -406,7 +406,8 @@ def test_solve_factors_each_system_once(monkeypatch):
     assert calls == [1025]
     calls.clear()
     problem, _ = builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-4))
-    solve(assemble(problem, system_shishkin((1e-6, 1e-4), 288, both_sides=True), "central"))
+    mesh = system_shishkin([LayerSpec(e, side="both") for e in (1e-6, 1e-4)], 288)
+    solve(assemble(problem, mesh, "central"))
     assert calls == [289]
 
 
