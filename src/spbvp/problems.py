@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -145,6 +146,13 @@ class SystemProblem:
         off[:, idx, idx] = 0.0
         if np.any(off != 0.0):
             raise ValueError("weakly-coupled systems must have diagonal convection")
+
+    @cached_property
+    def _layers(self) -> tuple[LayerSpec, ...]:
+        # default_envelope's value: the problem is immutable, so it is
+        # computed once.  An envelope that raises is not cached and raises
+        # again on every call.
+        return _envelope(self)
 
     @property
     def diffusion(self) -> np.ndarray:
@@ -375,11 +383,21 @@ class ReferenceSolution:
 
 def default_envelope(problem: SystemProblem) -> tuple[LayerSpec, ...]:
     """One layer per component, with the decay rate and side implied by the
-    problem coefficients."""
+    problem coefficients.  Computed once per problem and kept on it, so
+    every mesh of a sweep and its oracle share one computation."""
+    return problem._layers
+
+
+def _envelope(problem: SystemProblem) -> tuple[LayerSpec, ...]:
     x = np.linspace(0.0, 1.0, 257)
     if problem.kind == "reaction-diffusion":
-        kappa = check_gamma(problem).kappa
-        return tuple(LayerSpec(e, gamma=kappa, side="both") for e in problem.eps)
+        report = check_gamma(problem)
+        if not report.diag_dominant:
+            raise ValueError(
+                f"reaction coupling is not diagonally dominant (zeta = {report.zeta:.6g} "
+                ">= 1), so the layers have no positive decay rate"
+            )
+        return tuple(LayerSpec(e, gamma=report.kappa, side="both") for e in problem.eps)
     b_vals = problem.b(x)
     if problem.kind == "weakly-coupled-cd":
         layers = []

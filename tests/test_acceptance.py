@@ -18,6 +18,7 @@ from spbvp.harness import (
     reference_discrepancy,
     run_study,
 )
+from spbvp import linalg
 from spbvp.linalg import BlockTridiag, block_thomas
 from spbvp.meshes import (
     LayerSpec,
@@ -285,4 +286,11 @@ def test_block_elimination_matches_dense_oracle_on_random_instances():
         ref = np.linalg.solve(mat.to_dense(), rhs.ravel()).reshape(n, m)
         scale = 1.0 + float(np.max(np.abs(ref)))
         assert np.max(np.abs(got - ref)) <= 1e-9 * scale
+
+
+def test_block_elimination_matches_dense_oracle_with_every_level_wide(monkeypatch):
+    # the same instances with every level of two or more block rows run
+    # component-major (the default switches at 2048 rows)
+    monkeypatch.setattr(linalg, "_WIDE", 2)
+    test_block_elimination_matches_dense_oracle_on_random_instances()
 

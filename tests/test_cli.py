@@ -145,6 +145,18 @@ def test_solve_without_layer_data_is_config_error(capsys):
     assert "default envelope for strong coupling needs constant convection" in err
 
 
+def test_solve_non_dominant_reaction_coupling_is_config_error(tmp_path, capsys):
+    path = tmp_path / "rd.json"
+    path.write_text(json.dumps({
+        "m": 2, "eps": [1e-4, 1e-3], "kind": "reaction-diffusion",
+        "a": [[1, -1.5], [-1.5, 1]], "f": [1, 1],
+    }))
+    code, out, err = _run(capsys, "solve", "--problem", str(path),
+                          "--mesh", "system-shishkin", "--n", "24")
+    assert code == 3 and out == ""
+    assert "reaction coupling is not diagonally dominant (zeta = 1.5 >= 1)" in err
+
+
 def test_solve_scheme_mismatch_is_a_solve_failure(capsys):
     code, _, err = _run(capsys, "solve", "--problem", "scalar-cd",
                         "--scheme", "central", "--n", "8")

@@ -295,6 +295,40 @@ def test_sweep_rejects_unordered_n_list_before_solving(monkeypatch):
     assert calls == []
 
 
+def test_sweep_computes_each_envelope_once(monkeypatch):
+    # reaction-diffusion envelopes run check_gamma; 3 N x 2 eps cells and
+    # both oracles share one envelope per problem (the parent made 8 calls)
+    calls = []
+    check_gamma = problems.check_gamma
+
+    def counting(problem):
+        calls.append(problem)
+        return check_gamma(problem)
+
+    monkeypatch.setattr(problems, "check_gamma", counting)
+    report = sweep(
+        problem_family("reaction-diffusion"), mesh_family("system-shishkin"), "central",
+        [24, 48, 96], [(1e-6, 1e-3), (1e-8, 1e-4)],
+    )
+    assert all(r.failure is None for r in report.records)
+    assert len(calls) == 2
+
+
+def test_sweep_fails_every_cell_of_a_failing_envelope():
+    bad = SystemProblem(
+        m=2, eps=(1e-4, 1e-3), kind="reaction-diffusion",
+        a=coefficient(np.array([[1.0, -1.5], [-1.5, 1.0]]), (2, 2)),
+        f=coefficient(np.ones(2), (2,)),
+    )
+    ref = ReferenceSolution(kind="exact", evaluator=lambda x: np.zeros((len(x), 2)))
+    report = sweep(lambda eps: (bad, ref), mesh_family("system-shishkin"), "central",
+                   [24, 48], [(1e-4, 1e-3)])
+    assert [r.failure for r in report.records] == [
+        "ValueError: reaction coupling is not diagonally dominant (zeta = 1.5 >= 1), "
+        "so the layers have no positive decay rate"
+    ] * 2
+
+
 def test_sweep_rejects_empty_grids():
     with pytest.raises(ValueError, match="non-empty"):
         sweep(

@@ -5,7 +5,11 @@ blocks (n = 1) and general block systems."""
 import numpy as np
 import pytest
 
+from spbvp import linalg
+from spbvp.harness import mesh_family
 from spbvp.linalg import BlockTridiag, SingularMatrixError, block_thomas
+from spbvp.problems import builtin_scalar_cd
+from spbvp.schemes import assemble
 
 
 def random_tridiag(rng, n):
@@ -101,6 +105,76 @@ def test_block_thomas_matches_dense_randomized():
         x = block_thomas(mat, rhs)
         ref = np.linalg.solve(mat.to_dense(), rhs.ravel()).reshape(n, m)
         assert np.allclose(x, ref, rtol=1e-9, atol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# component-major (wide) levels
+# ---------------------------------------------------------------------------
+
+
+def pivoting_blocks(rng, n, m):
+    """Blocks 5I + R with their rows permuted at random and a tiny (0, 0)
+    entry, so every block swaps rows at its first pivot."""
+    blocks = rng.uniform(-1.0, 1.0, (n, m, m)) + 5.0 * np.eye(m)
+    perms = np.array([rng.permutation(m) for _ in range(n)])
+    blocks = np.take_along_axis(blocks, perms[:, :, None], axis=1)
+    blocks[:, 0, 0] = 1e-12 * rng.uniform(-1.0, 1.0, n)
+    return blocks
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_wide_inverse_swaps_rows_per_block(m):
+    rng = np.random.default_rng(31)
+    blocks = pivoting_blocks(rng, 4096, m)
+    got = linalg._cm_inv(blocks)
+    assert np.allclose(got, np.linalg.inv(blocks), rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_wide_levels_with_row_swaps_match_dense(monkeypatch, m):
+    monkeypatch.setattr(linalg, "_WIDE", 2)
+    rng = np.random.default_rng(37)
+    n = 301
+    mat = BlockTridiag(
+        sub=0.2 * rng.uniform(-1.0, 1.0, (n - 1, m, m)),
+        diag=pivoting_blocks(rng, n, m),
+        sup=0.2 * rng.uniform(-1.0, 1.0, (n - 1, m, m)),
+    )
+    rhs = rng.uniform(-1.0, 1.0, (n, m))
+    ref = np.linalg.solve(mat.to_dense(), rhs.ravel()).reshape(n, m)
+    assert np.allclose(block_thomas(mat, rhs), ref, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("row, level", [(2, 1), (4, 2)])
+def test_singular_pivot_names_its_level(m, row, level):
+    # uncoupled blocks: level k pivots on the original rows that are
+    # 2^k mod 2^(k+1).  With 4097 rows levels 0 and 1 run component-major
+    # and level 2 batched.
+    n = 2 * linalg._WIDE + 1
+    diag = np.tile(np.eye(m), (n, 1, 1))
+    diag[row] = np.ones((m, m)) if m > 1 else 0.0
+    empty = np.zeros((n - 1, m, m))
+    mat = BlockTridiag(sub=empty, diag=diag, sup=empty)
+    with pytest.raises(SingularMatrixError, match=f"level {level}$"):
+        block_thomas(mat, np.ones((n, m)))
+
+
+def test_scalar_wide_levels_bitwise_equal_to_batched(monkeypatch):
+    # 1x1 blocks round identically on both kernels, so a scalar solve does
+    # not depend on where the levels switch
+    problem, _ = builtin_scalar_cd(1e-6)
+    op = assemble(problem, mesh_family("shishkin")(problem, 4096), "simple-upwind")
+    rng = np.random.default_rng(41)
+    lower, diag, upper = random_tridiag(rng, 1025)
+    scalar = BlockTridiag(
+        sub=lower.reshape(-1, 1, 1), diag=diag.reshape(-1, 1, 1), sup=upper.reshape(-1, 1, 1)
+    )
+    cases = [(op.matrix, op.rhs), (scalar, rng.uniform(-1.0, 1.0, (1025, 1)))]
+    default = [block_thomas(mat, rhs) for mat, rhs in cases]
+    monkeypatch.setattr(linalg, "_WIDE", 2)
+    for (mat, rhs), want in zip(cases, default):
+        assert np.array_equal(block_thomas(mat, rhs), want)
 
 
 def test_block_matvec_consistent_with_dense():

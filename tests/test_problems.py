@@ -544,6 +544,38 @@ def test_default_envelope_rejects_sign_changing_convection():
         default_envelope(prob)
 
 
+def _non_dominant_reaction_problem():
+    return SystemProblem(
+        m=2, eps=(1e-4, 1e-3), kind="reaction-diffusion",
+        a=coefficient(np.array([[1.0, -1.5], [-1.5, 1.0]]), (2, 2)),
+        f=coefficient(np.ones(2), (2,)),
+    )
+
+
+def test_default_envelope_rejects_non_dominant_reaction_coupling():
+    # zeta = 1.5 leaves no decay rate (kappa = 0); the error says why
+    with pytest.raises(ValueError, match=r"not diagonally dominant \(zeta = 1\.5 >= 1\)"):
+        default_envelope(_non_dominant_reaction_problem())
+
+
+def test_default_envelope_computed_once_per_problem(monkeypatch):
+    calls = []
+
+    def counting(problem):
+        calls.append(problem)
+        return check_gamma(problem)
+
+    monkeypatch.setattr("spbvp.problems.check_gamma", counting)
+    problem, _ = builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-3))
+    first = default_envelope(problem)
+    assert default_envelope(problem) is first and len(calls) == 1
+    bad = _non_dominant_reaction_problem()
+    for _ in range(2):  # a failing envelope is not cached: it fails every time
+        with pytest.raises(ValueError, match="not diagonally dominant"):
+            default_envelope(bad)
+    assert len(calls) == 3
+
+
 def test_envelope_constants_scalar_uniform_in_eps():
     # fitted constants for the exact solution must stay bounded and stable
     # across the perturbation sweep; that is the testable form of uniform
