@@ -1,11 +1,12 @@
 """Convergence measurement: (N, eps) sweeps, uniform-rate fitting, reporting.
 
 The primary quantity is the uniform error E(N) = max over eps of the
-per-cell error.  Raw rates compare E against powers of N; the corrected
-rate divides by the ratio of N^{-1} ln N instead, which removes the
-logarithmic factor that piecewise-uniform meshes carry.  The boundedness
-constant C* = max_N E(N)/target(N) operationalizes "the constant does not
-depend on eps or N": it must stay within a fixed spread across eps.
+per-cell error in the study's norm (nodal max, or the FEM energy norm).
+Raw rates compare E against powers of N; the corrected rate divides by the
+ratio of N^{-1} ln N instead, which removes the logarithmic factor that
+piecewise-uniform meshes carry.  The boundedness constant
+C* = max_N E(N)/target(N) operationalizes "the constant does not depend on
+eps or N": it must stay within a fixed spread across eps.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "ConvergenceReport",
     "ErrorRecord",
     "MESH_TAGS",
+    "NORMS",
     "RATE_TARGETS",
     "STUDIES",
     "StudyConfig",
@@ -71,6 +73,15 @@ RATE_TARGETS: dict[str, Callable[[int], float]] = {
     "n_inv_log": lambda n: math.log(n) / n,
     "n_inv_log_sq": lambda n: (math.log(n) / n) ** 2,
 }
+
+NORMS = ("max", "energy")
+
+
+def _check_selectors(target: str, norm: str) -> None:
+    if target not in RATE_TARGETS:
+        raise ValueError(f"unknown target {target!r}")
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}; known: {', '.join(NORMS)}")
 
 
 def _phi(n: int) -> float:
@@ -150,6 +161,7 @@ class ConvergenceReport:
     """Full (N, eps) grid of records plus fitted uniform rates.
 
     records are row-major: all eps for n_list[0], then n_list[1], ...
+    Errors, rates and C* are taken in `norm`: err_max or err_energy.
     """
 
     family: str
@@ -158,6 +170,7 @@ class ConvergenceReport:
     eps_list: tuple[tuple[float, ...], ...]
     records: tuple[ErrorRecord, ...]
     target: str = "n_inv_log"
+    norm: str = "max"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -167,8 +180,7 @@ class ConvergenceReport:
         object.__setattr__(self, "records", tuple(self.records))
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"n_list must increase strictly, got {self.n_list}")
-        if self.target not in RATE_TARGETS:
-            raise ValueError(f"unknown target {self.target!r}")
+        _check_selectors(self.target, self.norm)
         want = len(self.n_list) * len(self.eps_list)
         if len(self.records) != want:
             raise ValueError(
@@ -191,16 +203,12 @@ class ConvergenceReport:
     def failures(self) -> tuple[ErrorRecord, ...]:
         return tuple(r for r in self.records if r.failure is not None)
 
-    def _cell_error(self, rec: ErrorRecord, use: str) -> float | None:
+    def _cell_error(self, rec: ErrorRecord) -> float | None:
         if rec.failure is not None:
             return None
-        if use == "max":
-            return rec.err_max
-        if use == "energy":
-            return rec.err_energy
-        raise ValueError(f"use must be 'max' or 'energy', got {use!r}")
+        return rec.err_energy if self.norm == "energy" else rec.err_max
 
-    def uniform_errors(self, use: str = "max") -> tuple[float, ...]:
+    def uniform_errors(self) -> tuple[float, ...]:
         """E(N) = max over eps; nan where no cell produced the error."""
         out = []
         k = len(self.eps_list)
@@ -208,36 +216,32 @@ class ConvergenceReport:
             vals = [
                 e
                 for r in self.records[i * k : (i + 1) * k]
-                if (e := self._cell_error(r, use)) is not None
+                if (e := self._cell_error(r)) is not None
             ]
             out.append(max(vals) if vals else math.nan)
         return tuple(out)
 
-    def rates_raw(self, use: str = "max") -> tuple[float, ...]:
-        e = self.uniform_errors(use)
-        return tuple(
-            raw_rate(e[i], e[i + 1], self.n_list[i], self.n_list[i + 1])
-            for i in range(len(e) - 1)
-        )
+    def _rates(self, rate: Callable[..., float]) -> tuple[float, ...]:
+        e, n = self.uniform_errors(), self.n_list
+        return tuple(rate(e[i], e[i + 1], n[i], n[i + 1]) for i in range(len(e) - 1))
 
-    def rates_corrected(self, use: str = "max") -> tuple[float, ...]:
-        e = self.uniform_errors(use)
-        return tuple(
-            corrected_rate(e[i], e[i + 1], self.n_list[i], self.n_list[i + 1])
-            for i in range(len(e) - 1)
-        )
+    def rates_raw(self) -> tuple[float, ...]:
+        return self._rates(raw_rate)
 
-    def c_star(self, use: str = "max") -> float:
+    def rates_corrected(self) -> tuple[float, ...]:
+        return self._rates(corrected_rate)
+
+    def c_star(self) -> float:
         """max_N E(N)/target(N) over the N where E is defined."""
         tgt = RATE_TARGETS[self.target]
         vals = [
             e / tgt(n)
-            for n, e in zip(self.n_list, self.uniform_errors(use))
+            for n, e in zip(self.n_list, self.uniform_errors())
             if math.isfinite(e)
         ]
         return max(vals) if vals else math.nan
 
-    def c_star_by_eps(self, use: str = "max") -> dict[tuple[float, ...], float]:
+    def c_star_by_eps(self) -> dict[tuple[float, ...], float]:
         """Per-eps boundedness constants; their spread across eps is the
         operational test that the error constant does not depend on eps."""
         tgt = RATE_TARGETS[self.target]
@@ -247,22 +251,22 @@ class ConvergenceReport:
             vals = [
                 e / tgt(self.n_list[i])
                 for i in range(len(self.n_list))
-                if (e := self._cell_error(self.records[i * k + j], use)) is not None
+                if (e := self._cell_error(self.records[i * k + j])) is not None
                 and math.isfinite(e)
             ]
             out[eps] = max(vals) if vals else math.nan
         return out
 
-    def c_star_spread(self, use: str = "max") -> float:
+    def c_star_spread(self) -> float:
         """max/min ratio of the per-eps constants (nan if undefined)."""
-        vals = [v for v in self.c_star_by_eps(use).values() if v > 0.0]
+        vals = [v for v in self.c_star_by_eps().values() if v > 0.0]
         if not vals or not all(math.isfinite(v) for v in vals):
             return math.nan
         return max(vals) / min(vals)
 
-    def monotonicity_flags(self, use: str = "max") -> tuple[str, ...]:
+    def monotonicity_flags(self) -> tuple[str, ...]:
         """Inversions of E(N); small single inversions are flagged, not fatal."""
-        e = self.uniform_errors(use)
+        e = self.uniform_errors()
         flags = []
         for i in range(len(e) - 1):
             if math.isfinite(e[i]) and math.isfinite(e[i + 1]) and e[i + 1] > e[i]:
@@ -274,8 +278,8 @@ class ConvergenceReport:
                 )
         return tuple(flags)
 
-    def essentially_monotone(self, use: str = "max") -> bool:
-        flags = self.monotonicity_flags(use)
+    def essentially_monotone(self) -> bool:
+        flags = self.monotonicity_flags()
         return len(flags) == 0 or (
             len(flags) == 1 and flags[0].startswith("minor")
         )
@@ -320,7 +324,7 @@ def sweep(
     *,
     family: str = "custom",
     target: str = "n_inv_log",
-    energy: bool = False,
+    norm: str = "max",
 ) -> ConvergenceReport:
     """Solve every (N, eps) cell and report uniform errors and rates.
 
@@ -328,7 +332,7 @@ def sweep(
     regenerate per eps; mesh_family maps (problem, N) to the mesh, so it can
     read layer data off the problem.  Cells run in order, N-major; a failed
     cell becomes a record with the exception text instead of aborting the
-    sweep.
+    sweep.  err_energy is computed only for norm="energy".
     """
     if scheme not in SCHEME_TAGS:
         raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
@@ -338,25 +342,25 @@ def sweep(
         raise ValueError("n_list and eps_list must be non-empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"n_list must increase strictly, got {ns}")
+    _check_selectors(target, norm)
     pairs = [problem_family(e) for e in epss]
+    bare = [ref.kind for _, ref in pairs if ref.derivative_fn is None]
+    if norm == "energy" and bare:
+        raise ValueError(f"norm 'energy' needs the reference's derivative; "
+                         f"the {bare[0]} reference has none")
 
     def cell(n: int, eps: tuple[float, ...], problem, ref) -> ErrorRecord:
         try:
             mesh = mesh_family(problem, n)
             sol = discrete_solve(problem, mesh, scheme)
-            err = max_norm_error(sol, ref)
-            en = (
-                energy_norm_error(mesh, sol.values, ref, problem.diffusion)
-                if energy and ref.derivative_fn is not None
-                else None
-            )
             return ErrorRecord(
                 family=family,
                 scheme=scheme,
                 n=n,
                 eps=eps,
-                err_max=err,
-                err_energy=en,
+                err_max=max_norm_error(sol, ref),
+                err_energy=(energy_norm_error(mesh, sol.values, ref, problem.diffusion)
+                            if norm == "energy" else None),
                 q=diagnostics(mesh).max_h,
             )
         except Exception as exc:  # recorded per cell, not fatal
@@ -378,6 +382,7 @@ def sweep(
         eps_list=epss,
         records=records,
         target=target,
+        norm=norm,
     )
 
 
@@ -437,6 +442,7 @@ def report_emit(report: ConvergenceReport, fmt: str = "csv") -> str:
             "family": report.family,
             "scheme": report.scheme,
             "target": report.target,
+            "norm": report.norm,
             "n_list": list(report.n_list),
             "eps_list": [list(e) for e in report.eps_list],
             "records": [
@@ -491,6 +497,7 @@ def report_from_json(text: str) -> ConvergenceReport:
         eps_list=tuple(tuple(e) for e in data["eps_list"]),
         records=records,
         target=data["target"],
+        norm=data["norm"],
     )
 
 
@@ -571,7 +578,7 @@ def mesh_family(tag: str) -> Callable[[SystemProblem, int], Mesh1D]:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """A named, fully pinned sweep: problem, scheme, mesh, grids, target."""
+    """A named, fully pinned sweep: problem, scheme, mesh, grids, target, norm."""
 
     problem: str
     scheme: str
@@ -579,7 +586,7 @@ class StudyConfig:
     n_list: tuple[int, ...]
     eps_list: tuple[tuple[float, ...], ...]
     target: str = "n_inv_log"
-    energy: bool = False
+    norm: str = "max"
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -587,8 +594,7 @@ class StudyConfig:
         object.__setattr__(
             self, "eps_list", tuple(_eps_key(e) for e in self.eps_list)
         )
-        if self.target not in RATE_TARGETS:
-            raise ValueError(f"unknown target {self.target!r}")
+        _check_selectors(self.target, self.norm)
 
 
 _SCALAR_N = (64, 128, 256, 512, 1024)
@@ -633,7 +639,7 @@ STUDIES: dict[str, StudyConfig] = {
             n_list=_SCALAR_N,
             eps_list=_SCALAR_EPS,
             target="n_inv_log",
-            energy=True,
+            norm="energy",
         ),
         StudyConfig(
             name="scalar-fem-bakhvalov-shishkin",
@@ -643,7 +649,7 @@ STUDIES: dict[str, StudyConfig] = {
             n_list=_SCALAR_N,
             eps_list=_SCALAR_EPS,
             target="n_inv",
-            energy=True,
+            norm="energy",
         ),
         StudyConfig(
             name="smooth-central-uniform",
@@ -694,8 +700,19 @@ STUDIES: dict[str, StudyConfig] = {
 }
 
 
+_TEXT_KEYS = ("problem", "scheme", "mesh", "target", "norm", "name")
+_STUDY_KEYS = _TEXT_KEYS + ("N_list", "eps_list", "output", "format")
+
+
 def study_from_dict(data: dict) -> StudyConfig:
     """Build a StudyConfig from a JSON-style dict (the CLI study format)."""
+    if "energy" in data:
+        raise ValueError(
+            'study config key "energy" was replaced by "norm": "energy" | "max"'
+        )
+    if unknown := sorted(set(data) - set(_STUDY_KEYS)):
+        raise ValueError(f"unknown study config keys: {', '.join(unknown)}; "
+                         f"known: {', '.join(_STUDY_KEYS)}")
     if "name" in data and set(data) <= {"name", "output", "format"}:
         name = data["name"]
         if name not in STUDIES:
@@ -703,19 +720,14 @@ def study_from_dict(data: dict) -> StudyConfig:
                 f"unknown study {name!r}; known: {', '.join(sorted(STUDIES))}"
             )
         return STUDIES[name]
-    required = {"problem", "scheme", "mesh", "N_list", "eps_list"}
-    missing = required - set(data)
-    if missing:
+    if missing := {"problem", "scheme", "mesh", "N_list", "eps_list"} - set(data):
         raise ValueError(f"study config missing keys: {', '.join(sorted(missing))}")
+    if not all(isinstance(data[k], (list, tuple)) for k in ("N_list", "eps_list")):
+        raise ValueError("study config N_list and eps_list must be lists")
     return StudyConfig(
-        problem=str(data["problem"]),
-        scheme=str(data["scheme"]),
-        mesh=str(data["mesh"]),
-        n_list=tuple(int(n) for n in data["N_list"]),
-        eps_list=tuple(_eps_key(e) for e in data["eps_list"]),
-        target=str(data.get("target", "n_inv_log")),
-        energy=bool(data.get("energy", False)),
-        name=str(data.get("name", "")),
+        n_list=data["N_list"],
+        eps_list=data["eps_list"],
+        **{k: str(data[k]) for k in _TEXT_KEYS if k in data},
     )
 
 
@@ -733,5 +745,5 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
         cfg.eps_list,
         family=cfg.mesh,
         target=cfg.target,
-        energy=cfg.energy,
+        norm=cfg.norm,
     )

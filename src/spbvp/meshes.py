@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .quadrature import adaptive_cell_integral
-from .rootfind import BracketError, solve_scalar
+from .rootfind import solve_scalar
 
 __all__ = [
     "Mesh1D",
@@ -458,14 +458,12 @@ def duran_lombardi(
     return _oriented(pts, spec.side, label, {"ratio": ratio})
 
 
-def lambert_mesh(spec: LayerSpec, n: int, literal_form: bool = False) -> Mesh1D:
+def lambert_mesh(spec: LayerSpec, n: int) -> Mesh1D:
     """Mesh from the implicit relation xi - exp(-xi/width_scale) + 1 - 2t = 0.
 
     The exponent is negative so the relation has a unique increasing
     solution branch with xi(0) = 0 for every eps; points are rescaled by
-    xi(1) so the mesh ends at 1 exactly.  literal_form=True solves the
-    variant with a positive exponent instead, which only brackets a root for
-    wide layers; failures report the offending t.
+    xi(1) so the mesh ends at 1 exactly.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -475,25 +473,14 @@ def lambert_mesh(spec: LayerSpec, n: int, literal_form: bool = False) -> Mesh1D:
     xi = np.zeros(n + 1)
     for i in range(1, n + 1):
         t = i / n
-        if not literal_form:
-            f = lambda z, tt=t: z - math.exp(-c * z) + 1.0 - 2.0 * tt
-            fp = lambda z: 1.0 + c * math.exp(-c * z)
-            xi[i] = solve_scalar(f, 0.0, 2.0 + 2.0 * t, fprime=fp, tol=1e-13)
-        else:
-            f = lambda z, tt=t: z - math.exp(min(c * z, 700.0)) + 1.0 - 2.0 * tt
-            if c >= 1.0:
-                raise BracketError(
-                    f"literal relation has no root for t={t!r} (exponent too steep)"
-                )
-            z_peak = math.log(1.0 / c) / c
-            if f(z_peak) <= 0.0:
-                raise BracketError(f"literal relation has no root for t={t!r}")
-            xi[i] = solve_scalar(f, 0.0, z_peak)
+        f = lambda z, tt=t: z - math.exp(-c * z) + 1.0 - 2.0 * tt
+        fp = lambda z: 1.0 + c * math.exp(-c * z)
+        xi[i] = solve_scalar(f, 0.0, 2.0 + 2.0 * t, fprime=fp, tol=1e-13)
     scale = xi[-1]
     pts = xi / scale
     pts[0] = 0.0
     pts[-1] = 1.0
-    label = f"lambert(eps={spec.eps:g},n={n},literal={literal_form},side={spec.side})"
+    label = f"lambert(eps={spec.eps:g},n={n},side={spec.side})"
     return _oriented(pts, spec.side, label, {"xi_scale": float(scale)})
 
 

@@ -131,14 +131,21 @@ def test_fitted_scheme_matches_asymptotic_solution_within_layer_tolerance():
 
 def test_fem_energy_error_constants_stable_on_both_graded_meshes():
     # Shishkin carries the log factor in its target, Bakhvalov-Shishkin
-    # does not; both constants must be flat across eps.
-    for name in ("scalar-fem-shishkin", "scalar-fem-bakhvalov-shishkin"):
+    # does not; both constants must be flat across eps, and both studies
+    # report first order in the energy norm they are registered with.
+    for name, rates in (
+        ("scalar-fem-shishkin", "rates_corrected"),
+        ("scalar-fem-bakhvalov-shishkin", "rates_raw"),
+    ):
         report = run_study(STUDIES[name])
         assert not report.failures, report.failures
-        c = report.c_star(use="energy")
+        assert report.norm == "energy"
+        c = report.c_star()
         assert math.isfinite(c) and c > 0.0
-        spread = report.c_star_spread(use="energy")
+        spread = report.c_star_spread()
         assert spread <= 3.0, f"{name}: constant spread {spread:.3f} > 3"
+        last = getattr(report, rates)()[-1]
+        assert abs(last - 1.0) <= 0.1, f"{name}: last {rates} {last:.3f} not within 0.1 of 1"
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,40 @@ def test_study_config_errors_exit_3(tmp_path, capsys):
     assert code == 3 and "missing keys" in err
 
 
+def test_study_config_rejects_unknown_and_retired_keys(tmp_path, capsys):
+    base = {
+        "problem": "scalar-cd",
+        "scheme": "galerkin-fem",
+        "mesh": "shishkin",
+        "N_list": [16],
+        "eps_list": [1e-3],
+    }
+    path = tmp_path / "study.json"
+    for extra, message in (
+        ({"energy": "false"}, '"energy" was replaced by "norm"'),
+        ({"targt": "n_inv"}, "unknown study config keys: targt; known:"),
+        ({"norm": "l2"}, "unknown norm 'l2'"),
+    ):
+        path.write_text(json.dumps({**base, **extra}))
+        code, out, err = _run(capsys, "study", "--config", str(path))
+        assert code == 3 and out == "" and message in err
+
+
+def test_study_energy_norm_without_reference_derivative_exit_3(tmp_path, capsys):
+    cfg = {
+        "problem": "weakly-coupled-cd",
+        "scheme": "simple-upwind",
+        "mesh": "system-shishkin",
+        "N_list": [96, 192],
+        "eps_list": [[1e-6, 1e-3]],
+        "norm": "energy",
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "study", "--config", str(path))
+    assert code == 3 and out == "" and "needs the reference's derivative" in err
+
+
 def test_study_json_format_flag(tmp_path, capsys):
     cfg = {
         "problem": "scalar-cd",

@@ -295,6 +295,32 @@ def test_sweep_rejects_unordered_n_list_before_solving(monkeypatch):
     assert calls == []
 
 
+def test_sweep_rejects_energy_norm_without_reference_derivative(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return discrete_solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "discrete_solve", counting)
+    cfg = study_from_dict(
+        {
+            "problem": "weakly-coupled-cd",
+            "scheme": "simple-upwind",
+            "mesh": "system-shishkin",
+            "N_list": [96, 192],
+            "eps_list": [[1e-6, 1e-3]],
+            "norm": "energy",
+        }
+    )
+    with pytest.raises(ValueError, match="norm 'energy' needs the reference's derivative; the oracle"):
+        run_study(cfg)
+    with pytest.raises(ValueError, match="unknown norm 'balanced'"):
+        sweep(problem_family("scalar-cd"), mesh_family("shishkin"), "simple-upwind",
+              (16,), ((1e-3,),), norm="balanced")
+    assert calls == []
+
+
 def test_sweep_computes_each_envelope_once(monkeypatch):
     # reaction-diffusion envelopes run check_gamma; 3 N x 2 eps cells and
     # both oracles share one envelope per problem (the parent made 8 calls)
@@ -378,8 +404,22 @@ def test_json_round_trip_preserves_everything():
     text = report_emit(rep, "json")
     parsed = json.loads(text)
     assert parsed["family"] == "shishkin" and parsed["scheme"] == "simple-upwind"
+    assert parsed["norm"] == "max"
     back = report_from_json(text)
     assert report_emit(back, "csv") == report_emit(rep, "csv")
+    assert report_emit(back, "json") == text
+    energy = sweep(
+        problem_family("scalar-cd"),
+        mesh_family("shishkin"),
+        "galerkin-fem",
+        (16, 32),
+        ((1e-3,), (1e-5,)),
+        family="shishkin",
+        norm="energy",
+    )
+    text = report_emit(energy, "json")
+    back = report_from_json(text)
+    assert back.norm == "energy"
     assert report_emit(back, "json") == text
 
 
@@ -401,6 +441,48 @@ def test_json_round_trip_keeps_failures():
     back = report_from_json(report_emit(rep, "json"))
     assert back.failures[0].failure == "ValueError: no"
     assert math.isnan(back.failures[0].err_max)
+
+
+def _csv_rates(text: str, column: str) -> dict[int, str]:
+    header, *rows = text.splitlines()
+    cols = header.split(",")
+    return {
+        int(row.split(",")[cols.index("N")]): row.split(",")[cols.index(column)]
+        for row in rows
+    }
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_emitted_rates_follow_the_study_norm(name):
+    cfg = STUDIES[name]
+    report = run_study(cfg)
+    assert report.norm == cfg.norm
+    csv = report_emit(report, "csv")
+    data = json.loads(report_emit(report, "json"))
+    assert data["norm"] == cfg.norm
+    for column, rates in (
+        ("rate_raw", report.rates_raw()),
+        ("rate_corrected", report.rates_corrected()),
+    ):
+        want = {
+            n: f"{r:.12e}" if math.isfinite(r) else ""
+            for n, r in zip(report.n_list, rates)
+        }
+        want[report.n_list[-1]] = ""
+        assert _csv_rates(csv, column) == want
+        assert data[column.replace("rate_", "rates_")] == [
+            r if math.isfinite(r) else None for r in rates
+        ]
+    assert data["c_star"] == report.c_star()
+
+
+def test_norm_is_validated_on_configs_and_reports():
+    with pytest.raises(ValueError, match="unknown norm 'l2'; known: max, energy"):
+        StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
+                    n_list=(16,), eps_list=((1e-3,),), norm="l2")
+    with pytest.raises(ValueError, match="unknown norm 'l2'"):
+        ConvergenceReport(family="f", scheme="central", n_list=(), eps_list=(),
+                          records=(), norm="l2")
 
 
 def test_report_emit_rejects_unknown_format():
@@ -435,6 +517,15 @@ def test_registered_studies_are_well_formed():
         mesh_family(cfg.mesh)
 
 
+_INLINE = {
+    "problem": "scalar-cd",
+    "scheme": "galerkin-fem",
+    "mesh": "shishkin",
+    "N_list": [16, 32],
+    "eps_list": [1e-3],
+}
+
+
 def test_study_from_dict_named_and_inline():
     cfg = study_from_dict({"name": "scalar-upwind-shishkin", "output": "x.csv"})
     assert cfg is STUDIES["scalar-upwind-shishkin"]
@@ -454,10 +545,29 @@ def test_study_from_dict_named_and_inline():
         study_from_dict({"problem": "scalar-cd"})
     with pytest.raises(ValueError, match="unknown study"):
         study_from_dict({"name": "nope"})
+    assert study_from_dict({**_INLINE, "norm": "energy"}).norm == "energy"
+    assert study_from_dict(_INLINE).norm == "max"
     with pytest.raises(ValueError, match="unknown problem family"):
         problem_family("nope")
     with pytest.raises(ValueError, match="unknown mesh family"):
         mesh_family("nope")
+
+
+def test_study_from_dict_rejects_malformed_keys_and_values():
+    # "energy": "false" used to turn the energy norm on (bool("false"))
+    for value in ("false", True, False):
+        with pytest.raises(ValueError, match='"energy" was replaced by "norm"'):
+            study_from_dict({**_INLINE, "energy": value})
+    with pytest.raises(ValueError, match="unknown study config keys: targt; known: problem, scheme, "):
+        study_from_dict({**_INLINE, "targt": "n_inv"})
+    with pytest.raises(ValueError, match="unknown study config keys: colour"):
+        study_from_dict({"name": "scalar-fem-shishkin", "colour": "red"})
+    for norm in ("Energy", "true", 1):
+        with pytest.raises(ValueError, match="unknown norm"):
+            study_from_dict({**_INLINE, "norm": norm})
+    # a string N_list used to run one N per character: "369" -> N = 3, 6, 9
+    with pytest.raises(ValueError, match="N_list and eps_list must be lists"):
+        study_from_dict({**_INLINE, "N_list": "369"})
 
 
 def test_single_eps_problem_families_reject_eps_vectors():

@@ -33,7 +33,6 @@ from spbvp.meshes import (
     system_shishkin,
     uniform_mesh,
 )
-from spbvp.rootfind import BracketError
 
 # eps=1e-4, gamma=1, mu=2, n=64 anchors
 SHISHKIN_SIGMA = 8.317766166719343e-04  # (2e-4)*ln(64), 50-digit check
@@ -354,11 +353,6 @@ def test_implicit_mesh_resolves_the_layer():
     for eps in (1e-4, 1e-8):
         m = lambert_mesh(LayerSpec(eps=eps), 64)
         assert m.points[1] < 10.0 * eps
-
-
-def test_implicit_mesh_literal_variant_has_no_root():
-    with pytest.raises(BracketError, match="t="):
-        lambert_mesh(LayerSpec(eps=1e-4), 64, literal_form=True)
 
 
 def test_implicit_mesh_rejects_tiny_n():
