@@ -106,13 +106,18 @@ def corrected_rate(
     """Rate against N^{-1} ln N: log(E1/E2) / log(phi(N1)/phi(N2)).
 
     Substituting E(N) = N^{-1} ln N gives exactly 1; a second-order target
-    (N^{-1} ln N)^2 gives exactly 2.
+    (N^{-1} ln N)^2 gives exactly 2.  Defined only where both errors are
+    positive and finite and phi decreases from N1 to N2, which fails below
+    N = 3 (ln 2 / 2 = ln 4 / 4); nan otherwise.
     """
     if not (err_coarse > 0.0 and err_fine > 0.0):
         return math.nan
     if not (math.isfinite(err_coarse) and math.isfinite(err_fine)):
         return math.nan
-    return math.log(err_coarse / err_fine) / math.log(_phi(n_coarse) / _phi(n_fine))
+    phi_ratio = _phi(n_coarse) / _phi(n_fine)
+    if not phi_ratio > 1.0:
+        return math.nan
+    return math.log(err_coarse / err_fine) / math.log(phi_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,18 @@
 
 Every discretization assembles a ``BlockTridiag`` and solves it with
 ``block_thomas``, a block cyclic reduction.  Each level eliminates half of
-the block rows left, with one of two kernels chosen by that level's row
-count:
+the block rows left, with one of three kernels chosen by the block size m
+and that level's row count:
 
-- a level with fewer than ``_WIDE`` rows is a few batched numpy/LAPACK
-  calls over (rows, m, m) stacks, one ``inv`` or ``matmul`` per block;
-- a wider level works on component-major arrays, in which each of the
-  m*m block entries is one contiguous vector over the rows: a block
+- 1x1 blocks are scalars at every level: a pivot inverse is a reciprocal
+  and a block product an elementwise ``multiply``, each one numpy call
+  over all rows.  They round exactly as the 1x1 LAPACK inverse and BLAS
+  product do;
+- for m >= 2, a level with fewer than ``_WIDE`` rows is a few batched
+  numpy/LAPACK calls over (rows, m, m) stacks, one ``inv`` or ``matmul``
+  per block;
+- a wider level with m >= 2 works on component-major arrays, in which each
+  of the m*m block entries is one contiguous vector over the rows: a block
   product is one ``einsum`` pass of sums of products of these vectors,
   and the pivot blocks are inverted together by a vectorized Gauss-Jordan
   elimination.  With m <= 3 a LAPACK/BLAS call per block is almost all
@@ -92,12 +97,13 @@ def block_thomas(mat: BlockTridiag, rhs: np.ndarray) -> np.ndarray:
     diagonally dominant systems).  There is no pivoting across block rows,
     and a singular pivot block raises SingularMatrixError naming its level.
 
-    Levels of at least ``_WIDE`` block rows run component-major and the
-    narrower ones as batched LAPACK/BLAS calls (see the module docstring).
-    The component-major kernel is the faster one from about 256 rows up,
-    but ``_WIDE`` sits above 1025 rows, so a system of up to that size
-    (N <= 1024) keeps the batched rounding bit for bit.  With 1x1 blocks
-    both kernels round identically.
+    1x1 blocks run elementwise at every level.  For m >= 2, levels of at
+    least ``_WIDE`` block rows run component-major and the narrower ones as
+    batched LAPACK/BLAS calls (see the module docstring).  The
+    component-major kernel is the faster one from about 256 rows up, but
+    ``_WIDE`` sits above 1025 rows, so a system of up to that size
+    (N <= 1024) keeps the batched rounding bit for bit.  All three kernels
+    round 1x1 blocks identically.
 
     The matrix is factored once and the factor applied twice: the second
     application is one pass of iterative refinement.  On strongly graded
@@ -118,13 +124,13 @@ def _singular(level: int) -> SingularMatrixError:
     return SingularMatrixError(f"singular pivot block at cyclic reduction level {level}")
 
 
-# Levels with at least this many block rows run component-major.  Measured
-# on a 2-vCPU VM (numpy 2.4.6, OpenBLAS), one level's block work (an inverse
-# and six products) runs component-major 1.0x, 1.4x and 1.4x as fast as the
-# batched calls at 256 rows for m = 1, 2, 3, 2.2x, 3.7x and 2.7x at 1024
-# and 3.6x, 4.9x and 3.5x at 2048.  The threshold sits above 1025 rows all
-# the same, so that the solves of N <= 1024 cells keep the batched rounding
-# and with it their study outputs bit for bit.
+# Levels of m >= 2 blocks with at least this many rows run component-major.
+# Measured on a 2-vCPU VM (numpy 2.4.6, OpenBLAS), one level's block work (an
+# inverse and six products) runs component-major 1.4x as fast as the batched
+# calls at 256 rows for m = 2 and 3, 3.7x and 2.7x at 1024 and 4.9x and 3.5x
+# at 2048.  The threshold sits above 1025 rows all the same, so that the
+# solves of N <= 1024 cells keep the batched rounding and with it their study
+# outputs bit for bit.
 _WIDE = 2048
 
 
@@ -162,10 +168,6 @@ def _cm_inv(blocks: np.ndarray) -> np.ndarray:
     """
     a = blocks.transpose(1, 2, 0).copy()
     m = a.shape[0]
-    if m == 1:
-        if not a.all():
-            raise np.linalg.LinAlgError("singular pivot block")
-        return (1.0 / a).transpose(2, 0, 1)
     swaps = []
     for j in range(m):
         for r in range(j + 1, m):
@@ -188,8 +190,19 @@ def _cm_inv(blocks: np.ndarray) -> np.ndarray:
     return a.transpose(2, 0, 1)
 
 
-def _ops(rows: int):
-    """Block inverse, block product and copy for a level of `rows` block rows."""
+def _reciprocal(blocks: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of a stack of 1x1 blocks; a zero pivot raises
+    LinAlgError, as np.linalg.inv does."""
+    if not blocks.all():
+        raise np.linalg.LinAlgError("singular pivot block")
+    return 1.0 / blocks
+
+
+def _ops(rows: int, m: int):
+    """Block inverse, block product and copy for a level of `rows` block
+    rows of m x m blocks."""
+    if m == 1:
+        return _reciprocal, np.multiply, np.ndarray.copy
     if rows >= _WIDE:
         return _cm_inv, _cm_matmul, _cm_copy
     return np.linalg.inv, np.matmul, np.ndarray.copy
@@ -201,7 +214,7 @@ def _factor(mat: BlockTridiag) -> tuple[list, np.ndarray]:
     levels = []
     try:
         while len(diag) > 1:
-            inv_of, mul, copy = _ops(len(diag))
+            inv_of, mul, copy = _ops(*diag.shape[:2])
             ko = len(diag) // 2  # odd rows
             nr = (len(diag) - 1) // 2  # odd rows with a right neighbour
             inv = inv_of(diag[1::2])
@@ -228,7 +241,7 @@ def _apply(factor: tuple[list, np.ndarray], rhs: np.ndarray) -> np.ndarray:
     rhs = rhs[..., None]  # (n, m, 1): every product below is a block product
     ys = []
     for inv, left, right, lo, up in levels:
-        _, mul, copy = _ops(len(rhs))
+        _, mul, copy = _ops(*rhs.shape[:2])
         y = mul(inv, rhs[1::2])
         ys.append(y)
         rhs = copy(rhs[0::2])
@@ -240,7 +253,7 @@ def _apply(factor: tuple[list, np.ndarray], rhs: np.ndarray) -> np.ndarray:
         raise _singular(len(levels)) from None
     for _, left, right, _, _ in reversed(levels):
         ko, nr = len(left), len(right)
-        mul = _ops(len(x) + ko)[1]
+        mul = _ops(len(x) + ko, x.shape[1])[1]
         y = ys.pop()
         full = np.empty_like(y, shape=(len(x) + ko,) + y.shape[1:])  # y's layout
         full[0::2] = x

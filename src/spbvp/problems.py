@@ -51,7 +51,12 @@ _SAMPLE_POINTS = 10_000  # sup norms / minima of coefficients are sampled here
 @dataclass(frozen=True)
 class Coefficient:
     """Matrix or vector coefficient: an evaluator plus the exact array when
-    the coefficient does not depend on x."""
+    the coefficient does not depend on x.
+
+    A constant coefficient evaluates to a read-only broadcast view of that
+    array, shape x.shape + shape, not to a fresh filled array: copy it
+    before writing into it.
+    """
 
     shape: tuple[int, ...]
     constant: np.ndarray | None = None
@@ -70,9 +75,7 @@ class Coefficient:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.constant is not None:
-            out = np.empty(x.shape + self.shape)
-            out[...] = self.constant
-            return out
+            return np.broadcast_to(self.constant, x.shape + self.shape)
         out = np.asarray(self.fn(x), dtype=float)
         if out.shape != x.shape + self.shape:
             raise ValueError(

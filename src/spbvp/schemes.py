@@ -88,16 +88,19 @@ def _blank_blocks(n_nodes: int, m: int):
     return sub, diag, sup, rhs
 
 
+def _component_diagonals(blocks: np.ndarray) -> np.ndarray:
+    """Writable (rows, m) view of the diagonals of contiguous (rows, m, m) blocks."""
+    return blocks.reshape(len(blocks), -1)[:, ::blocks.shape[1] + 1]
+
+
 def _add_second_difference(sub, diag, sup, hl, hr, d):
     """Accumulate -d_k * D+D- u_k into the interior rows (component diagonal)."""
-    m = len(d)
-    idx = np.arange(m)
     s = hl + hr
     c2m = 2.0 / (hl * s)
     c2p = 2.0 / (hr * s)
-    sub[:-1, idx, idx] += -d[None, :] * c2m[:, None]
-    diag[1:-1, idx, idx] += d[None, :] * (c2m + c2p)[:, None]
-    sup[1:, idx, idx] += -d[None, :] * c2p[:, None]
+    _component_diagonals(sub)[:-1] += -d[None, :] * c2m[:, None]
+    _component_diagonals(diag)[1:-1] += d[None, :] * (c2m + c2p)[:, None]
+    _component_diagonals(sup)[1:] += -d[None, :] * c2p[:, None]
 
 
 def _finalize(sub, diag, sup, rhs, problem, mesh, tag, fold_boundary=False):
@@ -231,7 +234,6 @@ def _assemble_galerkin(problem, mesh):
     m = problem.m
     h = mesh.spacings  # (n,)
     sub, diag, sup, rhs = _blank_blocks(n + 1, m)
-    idx = np.arange(m)
 
     mid = 0.5 * (x[:-1] + x[1:])
     xg = np.stack([mid - 0.5 * h * _GAUSS2, mid + 0.5 * h * _GAUSS2], axis=1)  # (n, 2)
@@ -245,10 +247,11 @@ def _assemble_galerkin(problem, mesh):
     # stiffness: d_k / h * [[1,-1],[-1,1]] per component
     d = problem.diffusion
     stiff = d[None, :] / h[:, None]  # (n, m)
-    diag[:-1][:, idx, idx] += stiff
-    diag[1:][:, idx, idx] += stiff
-    sub[:, idx, idx] += -stiff
-    sup[:, idx, idx] += -stiff
+    diag_kk = _component_diagonals(diag)
+    diag_kk[:-1] += stiff
+    diag_kk[1:] += stiff
+    _component_diagonals(sub)[:] += -stiff
+    _component_diagonals(sup)[:] += -stiff
 
     # reaction mass terms: sum_g w phi_l phi_l' A(x_g)
     def mass(pl, pr):
@@ -347,14 +350,16 @@ def ias_assemble(problem: SystemProblem, mesh: Mesh1D) -> DiscreteOperator:
     m = problem.m
     xi = x[1:-1]
     b_vals = problem.b(xi)
-    asym = np.max(np.abs(b_vals - np.swapaxes(b_vals, 1, 2)))
+    # a constant B is checked and decomposed once, not at every node
+    b_node = problem.b.constant if problem.b.is_constant else b_vals
+    asym = np.max(np.abs(b_node - np.swapaxes(b_node, -1, -2)))
     if asym > 1e-10:
         raise ValueError(
             f"convection matrix must be symmetric at every node "
             f"(max asymmetry {asym:.3e})"
         )
 
-    lam, p = np.linalg.eigh(problem.b.constant if problem.b.is_constant else b_vals)
+    lam, p = np.linalg.eigh(b_node)
     sig = _fitting_factor(lam * h / (2.0 * eps))
     fitted = eps * (p * sig[..., None, :]) @ np.swapaxes(p, -1, -2)
     fitted = np.broadcast_to(fitted, (n - 1, m, m))
@@ -377,6 +382,17 @@ def ias_assemble(problem: SystemProblem, mesh: Mesh1D) -> DiscreteOperator:
 # ---------------------------------------------------------------------------
 
 
+def _row_abs_sum(blocks: np.ndarray) -> np.ndarray:
+    """np.abs(blocks).sum(axis=2), added column by column in the same order:
+    on 2^16 blocks of m = 2 and 3 a reduction over the short last axis runs
+    3-5x slower than these column additions."""
+    a = np.abs(blocks)
+    out = a[:, :, 0].copy()
+    for j in range(1, a.shape[2]):
+        out += a[:, :, j]
+    return out
+
+
 def solve(op: DiscreteOperator) -> DiscreteSolution:
     """Block cyclic reduction (refined once inside the kernel), a row-scaled
     residual guard.
@@ -393,9 +409,9 @@ def solve(op: DiscreteOperator) -> DiscreteSolution:
     """
     mat = op.matrix
     u = block_thomas(mat, op.rhs)
-    scale = np.abs(mat.diag).sum(axis=2)
-    scale[1:] += np.abs(mat.sub).sum(axis=2)
-    scale[:-1] += np.abs(mat.sup).sum(axis=2)
+    scale = _row_abs_sum(mat.diag)
+    scale[1:] += _row_abs_sum(mat.sub)
+    scale[:-1] += _row_abs_sum(mat.sup)
     np.maximum(scale, 1.0, out=scale)
     tol = 1e-10 * (1.0 + float(np.max(np.abs(op.rhs))))
     for passes in range(3):

@@ -230,6 +230,24 @@ def test_study_config_round_trip_with_output_file(tmp_path, capsys):
     assert got == report_emit(rep, "csv")
 
 
+def test_study_with_n_below_three_leaves_corrected_rate_empty(tmp_path, capsys):
+    # phi(N) = ln N / N is equal at N = 2 and 4, so no corrected rate exists
+    cfg = {
+        "problem": "scalar-cd",
+        "scheme": "simple-upwind",
+        "mesh": "uniform",
+        "N_list": [2, 4],
+        "eps_list": [1e-3],
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "study", "--config", str(path))
+    assert code == 0 and err == ""
+    header, first, second = (ln.split(",") for ln in out.strip().splitlines())
+    raw, corrected = header.index("rate_raw"), header.index("rate_corrected")
+    assert first[raw] != "" and first[corrected] == "" and second[corrected] == ""
+
+
 def test_study_failures_exit_2(tmp_path, capsys):
     cfg = {
         "problem": "scalar-cd",

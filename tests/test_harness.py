@@ -106,6 +106,14 @@ def test_rates_undefined_without_positive_errors():
     assert math.isnan(corrected_rate(0.1, math.inf, 64, 128))
 
 
+def test_corrected_rate_undefined_where_phi_does_not_decrease():
+    # ln 2 / 2 = ln 4 / 4, and ln N / N rises from N = 1 to 3
+    assert math.isnan(corrected_rate(0.4, 0.1, 2, 4))
+    assert math.isnan(corrected_rate(0.4, 0.1, 2, 3))
+    assert math.isnan(corrected_rate(0.4, 0.1, 1, 2))
+    assert math.isfinite(corrected_rate(0.4, 0.1, 3, 4))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     c=st.floats(min_value=1e-3, max_value=1e3),

@@ -161,8 +161,9 @@ def test_singular_pivot_names_its_level(m, row, level):
 
 
 def test_scalar_wide_levels_bitwise_equal_to_batched(monkeypatch):
-    # 1x1 blocks round identically on both kernels, so a scalar solve does
-    # not depend on where the levels switch
+    # 1x1 blocks run elementwise at every level and round as the batched
+    # LAPACK/BLAS and the component-major block kernels do, so a scalar
+    # solve is the same whichever kernel each level would pick
     problem, _ = builtin_scalar_cd(1e-6)
     op = assemble(problem, mesh_family("shishkin")(problem, 4096), "simple-upwind")
     rng = np.random.default_rng(41)
@@ -171,10 +172,38 @@ def test_scalar_wide_levels_bitwise_equal_to_batched(monkeypatch):
         sub=lower.reshape(-1, 1, 1), diag=diag.reshape(-1, 1, 1), sup=upper.reshape(-1, 1, 1)
     )
     cases = [(op.matrix, op.rhs), (scalar, rng.uniform(-1.0, 1.0, (1025, 1)))]
-    default = [block_thomas(mat, rhs) for mat, rhs in cases]
-    monkeypatch.setattr(linalg, "_WIDE", 2)
-    for (mat, rhs), want in zip(cases, default):
-        assert np.array_equal(block_thomas(mat, rhs), want)
+    elementwise = [block_thomas(mat, rhs) for mat, rhs in cases]
+    for ops in (
+        (np.linalg.inv, np.matmul, np.ndarray.copy),
+        (linalg._cm_inv, linalg._cm_matmul, linalg._cm_copy),
+    ):
+        levels = []
+
+        def select(rows, m, ops=ops):
+            levels.append(rows)
+            return ops
+
+        monkeypatch.setattr(linalg, "_ops", select)
+        for (mat, rhs), want in zip(cases, elementwise):
+            assert np.array_equal(block_thomas(mat, rhs), want)
+        assert 4097 in levels and 1025 in levels
+
+
+def test_scalar_solve_calls_no_block_inverse_or_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1x1 block went through a block kernel")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np, "matmul", refuse)
+    rng = np.random.default_rng(43)
+    for n in (3, 1025, 2 * linalg._WIDE + 1):  # the last one has wide levels
+        lower, diag, upper = random_tridiag(rng, n)
+        rhs = rng.uniform(-1.0, 1.0, n)
+        x = thomas(lower, diag, upper, rhs)
+        r = diag * x
+        r[1:] += lower * x[:-1]
+        r[:-1] += upper * x[1:]
+        assert np.allclose(r, rhs, rtol=0.0, atol=1e-13)
 
 
 def test_block_matvec_consistent_with_dense():

@@ -72,6 +72,19 @@ def test_coefficient_constant_eval_broadcasts_over_x():
     assert np.all(out[3] == c.constant)
 
 
+def test_constant_coefficient_evaluates_to_read_only_view():
+    const = np.array([[1.0, 2.0], [3.0, 4.0]])
+    c = coefficient(const, (2, 2))
+    out = c(np.linspace(0, 1, 5))
+    assert out.shape == (5, 2, 2)
+    np.testing.assert_array_equal(out, np.stack([const] * 5))
+    assert not out.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        out[0, 0, 0] = 9.0
+    np.testing.assert_array_equal(c.constant, const)
+    assert c(0.5).shape == (1, 2, 2)
+
+
 def test_coefficient_callable_eval_and_shape_check():
     c = coefficient(lambda x: np.stack([x, 1 + x], axis=1), (2,))
     assert not c.is_constant

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spbvp import quadrature
 from spbvp.quadrature import adaptive_cell_integral, gauss_legendre_cells
 
 
@@ -103,3 +104,24 @@ def test_gauss_layer_integrand_on_fitted_edges():
     val = float(np.sum(weights * np.exp(-nodes / eps)))
     exact = eps * (1.0 - math.exp(-1.0 / eps))
     assert abs(val - exact) <= 1e-10 * exact
+
+
+def test_gauss_reference_rule_is_shared_read_only():
+    edges = np.array([0.0, 0.1, 0.5, 1.0])
+    nodes, weights = gauss_legendre_cells(edges, order=5)
+    again = gauss_legendre_cells(edges, order=5)
+    assert np.array_equal(nodes, again[0]) and np.array_equal(weights, again[1])
+    # the same values as a fresh rule mapped to every cell
+    ref_x, ref_w = np.polynomial.legendre.leggauss(5)
+    h = np.diff(edges)[:, None]
+    assert np.array_equal(nodes, edges[:-1, None] + 0.5 * h * (ref_x[None, :] + 1.0))
+    assert np.array_equal(weights, 0.5 * h * np.tile(ref_w, (3, 1)))
+    # the cached rule cannot be changed by a caller, and results are fresh
+    cached = quadrature._reference_rule(5)
+    assert quadrature._reference_rule(5)[0] is cached[0]
+    for arr in cached:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    nodes[0, 0] = -1.0
+    assert gauss_legendre_cells(edges, order=5)[0][0, 0] == again[0][0, 0]

@@ -435,6 +435,32 @@ def test_solve_checks_residual_after_every_pass(monkeypatch):
     assert len(calls) == 3  # the solve and two further passes, each checked
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_row_scale_adds_columns_bitwise_as_axis_sum(m):
+    blocks = np.random.default_rng(m).uniform(-1e6, 1e6, (257, m, m))
+    got = schemes._row_abs_sum(blocks)
+    assert got.tobytes() == np.abs(blocks).sum(axis=2).tobytes()
+
+
+def test_second_difference_diagonal_view_bitwise_as_fancy_index():
+    rng = np.random.default_rng(5)
+    m, n = 3, 40  # n cells
+    h = rng.uniform(1e-8, 1e-1, n)
+    d = np.array([1e-6, 1e-3, 1.0])
+    start = [rng.uniform(-1.0, 1.0, (k, m, m)) for k in (n, n + 1, n)]
+    got = [a.copy() for a in start]
+    schemes._add_second_difference(*got, h[:-1], h[1:], d)
+    sub, diag, sup = (a.copy() for a in start)
+    idx = np.arange(m)
+    c2m = 2.0 / (h[:-1] * (h[:-1] + h[1:]))
+    c2p = 2.0 / (h[1:] * (h[:-1] + h[1:]))
+    sub[:-1, idx, idx] += -d[None, :] * c2m[:, None]
+    diag[1:-1, idx, idx] += d[None, :] * (c2m + c2p)[:, None]
+    sup[1:, idx, idx] += -d[None, :] * c2p[:, None]
+    for a, b in zip(got, (sub, diag, sup)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_solution_invariant_under_equation_row_scaling():
     alpha = 32.0
     base = dict(
