@@ -12,6 +12,7 @@ import sys
 
 from .harness import (
     MESH_TAGS,
+    MESHES,
     STUDIES,
     mesh_family,
     problem_family,
@@ -19,40 +20,14 @@ from .harness import (
     run_study,
     study_from_dict,
 )
-from .meshes import (
-    LayerSpec,
-    Mesh1D,
-    bakhvalov_original,
-    bakhvalov_shishkin,
-    bakhvalov_type,
-    diagnostics,
-    duran_lombardi,
-    gartland,
-    lambert_mesh,
-    shishkin,
-    system_shishkin,
-    uniform_mesh,
-)
+from .meshes import LayerSpec, diagnostics
 from .problems import (
-    BUILTIN_PROBLEMS,
     SystemProblem,
     problem_from_dict,
     report_to_dict,
     stability_report,
 )
 from .schemes import SCHEME_TAGS, discrete_solve
-
-MESH_FAMILIES_CLI = (
-    "uniform",
-    "shishkin",
-    "bakhvalov-shishkin",
-    "bakhvalov-type",
-    "bakhvalov",
-    "gartland",
-    "duran-lombardi",
-    "lambert",
-    "system-shishkin",
-)
 
 
 class ConfigError(Exception):
@@ -86,50 +61,17 @@ def _load_problem(args) -> SystemProblem:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read problem file {name}: {exc}") from exc
         return problem_from_dict(data)
-    if name not in BUILTIN_PROBLEMS:
-        raise ConfigError(
-            f"unknown problem {name!r}; builtins: {', '.join(sorted(BUILTIN_PROBLEMS))}"
-        )
-    if args.eps is None:
-        return BUILTIN_PROBLEMS[name]()[0]
-    return problem_family(name)(_parse_eps(args.eps))[0]
-
-
-def _build_mesh(args) -> Mesh1D:
-    eps = _parse_eps(args.eps)
-    if args.family != "system-shishkin" and len(eps) != 1:
-        raise ConfigError(
-            f"mesh family {args.family!r} takes 1 eps value, got {len(eps)}: {args.eps}"
-        )
-    if args.family == "uniform":
-        return uniform_mesh(args.n)
-    layers = [LayerSpec(eps=e, gamma=args.gamma, mu=args.mu, side=args.side) for e in eps]
-    if args.family == "system-shishkin":
-        return system_shishkin(layers, args.n)
-    spec = layers[0]
-    if args.family == "shishkin":
-        return shishkin(spec, args.n)
-    if args.family == "bakhvalov-shishkin":
-        return bakhvalov_shishkin(spec, args.n)
-    if args.family == "bakhvalov-type":
-        return bakhvalov_type(spec, args.n)
-    if args.family == "bakhvalov":
-        return bakhvalov_original(spec, args.n, q=args.q)
-    if args.family == "lambert":
-        return lambert_mesh(spec, args.n)
-    if args.family == "gartland":
-        if args.h is None:
-            raise ConfigError("gartland meshes take --h, not --n")
-        return gartland(spec, args.h)
-    if args.family == "duran-lombardi":
-        if args.h is None:
-            raise ConfigError("duran-lombardi meshes take --h, not --n")
-        return duran_lombardi(spec, args.h, kappa=args.kappa)
-    raise ConfigError(f"unknown mesh family {args.family!r}")
+    eps = None if args.eps is None else _parse_eps(args.eps)
+    return problem_family(name)(eps)[0]
 
 
 def _cmd_mesh(args) -> int:
-    mesh = _build_mesh(args)
+    eps = _parse_eps(args.eps)
+    if args.family == "uniform" and len(eps) != 1:
+        # a uniform mesh reads no layer, so an eps list would be dropped unread
+        raise ConfigError(f"mesh family 'uniform' takes 1 eps value, got {len(eps)}: {args.eps}")
+    layers = [LayerSpec(e, gamma=args.gamma, mu=args.mu, side=args.side) for e in eps]
+    mesh = MESHES[args.family](layers, args.n)
     d = diagnostics(mesh)
     lines = ["i,x_i,h_i"]
     lines.append(f"0,{mesh.points[0]:.12e},")
@@ -208,15 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     mesh_p = sub.add_parser("mesh", help="generate a mesh as CSV i,x_i,h_i")
-    mesh_p.add_argument("--family", choices=MESH_FAMILIES_CLI, default="shishkin")
+    mesh_p.add_argument("--family", choices=MESH_TAGS, default="shishkin")
     mesh_p.add_argument("--eps", default="1e-6", help="eps, or comma list for systems")
-    mesh_p.add_argument("--n", type=int, default=64, help="cell count")
+    mesh_p.add_argument(
+        "--n", type=int, default=64,
+        help="cell count; coarse step 1/n for gartland and duran-lombardi",
+    )
     mesh_p.add_argument("--gamma", type=float, default=1.0, help="layer decay rate")
     mesh_p.add_argument("--mu", type=float, default=2.0, help="resolved-width order")
     mesh_p.add_argument("--side", choices=("left", "right", "both"), default="left")
-    mesh_p.add_argument("--h", type=float, default=None, help="step parameter H")
-    mesh_p.add_argument("--kappa", type=float, default=1.0, help="grading constant")
-    mesh_p.add_argument("--q", type=float, default=0.5, help="mesh fraction in layer")
     mesh_p.add_argument("--out", default=None, help="output file (default stdout)")
     mesh_p.set_defaults(func=_cmd_mesh)
 

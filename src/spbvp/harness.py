@@ -14,15 +14,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from .meshes import (
+    LayerSpec,
     Mesh1D,
+    bakhvalov_original,
     bakhvalov_shishkin,
     bakhvalov_type,
     diagnostics,
+    duran_lombardi,
+    gartland,
+    lambert_mesh,
     shishkin,
     system_shishkin,
     uniform_mesh,
@@ -44,8 +49,10 @@ __all__ = [
     "CSV_HEADER",
     "ConvergenceReport",
     "ErrorRecord",
+    "MESHES",
     "MESH_TAGS",
     "NORMS",
+    "PROBLEMS",
     "RATE_TARGETS",
     "STUDIES",
     "StudyConfig",
@@ -128,7 +135,10 @@ def corrected_rate(
 def _eps_key(eps) -> tuple[float, ...]:
     if isinstance(eps, (int, float)):
         return (float(eps),)
-    return tuple(float(e) for e in eps)
+    key = tuple(float(e) for e in eps)
+    if not key:
+        raise ValueError("an eps vector needs at least one value")
+    return key
 
 
 @dataclass(frozen=True)
@@ -511,74 +521,109 @@ def report_from_json(text: str) -> ConvergenceReport:
 # ---------------------------------------------------------------------------
 
 
-def _strongly_coupled_oracle(eps: float) -> tuple[SystemProblem, ReferenceSolution]:
-    problem, _ = builtin_strongly_coupled_example(eps)
+def _strongly_coupled_oracle(*eps: float) -> tuple[SystemProblem, ReferenceSolution]:
+    problem, _ = builtin_strongly_coupled_example(*eps)
     # self-consistent fitted-scheme oracle; 16384 = 16 * the largest default
     # study N, and its nodes nest over every power-of-two N
     ref = oracle_reference(problem, 16384, "ias", uniform_mesh, mesh_label="uniform")
     return problem, ref
 
 
+def _per_component(eps: tuple[float, ...]) -> tuple:
+    return (len(eps), eps) if eps else ()
+
+
+# Builtin problems by name: (eps values taken, constructor).  The count is 1,
+# or None for one value per component.  A constructor takes the eps values as
+# arguments, or none for its builtin's default.  The lambdas look their
+# builders up per call, so rebinding a module name (monkeypatching, tracing)
+# takes effect.
+PROBLEMS: dict[str, tuple[int | None, Callable[..., tuple[SystemProblem, ReferenceSolution]]]] = {
+    "scalar-cd": (1, lambda *eps: builtin_scalar_cd(*eps)),
+    "strongly-coupled-2x2": (1, lambda *eps: builtin_strongly_coupled_example(*eps)),
+    "strongly-coupled-2x2-oracle": (1, lambda *eps: _strongly_coupled_oracle(*eps)),
+    "strongly-coupled-variable": (1, lambda *eps: builtin_strongly_coupled_variable(*eps)),
+    "reaction-diffusion": (
+        None, lambda *eps: builtin_reaction_diffusion_system(*_per_component(eps))),
+    "weakly-coupled-cd": (None, lambda *eps: builtin_weakly_coupled_cd(*_per_component(eps))),
+}
+
+
 def problem_family(
     name: str,
-) -> Callable[[tuple[float, ...]], tuple[SystemProblem, ReferenceSolution]]:
-    """Builtin problem constructors keyed by name, as eps -> (problem, ref)."""
-    single_eps = {
-        "scalar-cd": builtin_scalar_cd,
-        "strongly-coupled-2x2": builtin_strongly_coupled_example,
-        "strongly-coupled-2x2-oracle": _strongly_coupled_oracle,
-        "strongly-coupled-variable": builtin_strongly_coupled_variable,
-    }
-    if name in single_eps:
-        build = single_eps[name]
+) -> Callable[..., tuple[SystemProblem, ReferenceSolution]]:
+    """Builtin problem constructors keyed by name, as eps -> (problem, ref).
 
-        def family(eps):
-            if len(eps) != 1:
-                raise ValueError(
-                    f"problem {name!r} takes 1 eps value, got {len(eps)}: {eps}"
-                )
-            return build(eps[0])
+    Called without eps, a family builds its builtin's default eps.
+    """
+    if name not in PROBLEMS:
+        raise ValueError(f"unknown problem family {name!r}; known: {', '.join(PROBLEMS)}")
+    takes, build = PROBLEMS[name]
 
-        return family
-    if name == "reaction-diffusion":
-        return lambda eps: builtin_reaction_diffusion_system(m=len(eps), eps=eps)
-    if name == "weakly-coupled-cd":
-        return lambda eps: builtin_weakly_coupled_cd(m=len(eps), eps=eps)
-    raise ValueError(f"unknown problem family {name!r}")
+    def family(eps=None):
+        if eps is None:
+            return build()
+        eps = _eps_key(eps)
+        if takes is not None and len(eps) != takes:
+            raise ValueError(
+                f"problem {name!r} takes {takes} eps value, got {len(eps)}: {eps}"
+            )
+        return build(*eps)
+
+    return family
 
 
-MESH_TAGS = ("uniform", "shishkin", "bakhvalov-shishkin", "bakhvalov-type", "system-shishkin")
-
-
-def _scalar_layer_mesh(build, problem: SystemProblem, n: int) -> Mesh1D:
-    if problem.m != 1:
+def _one_layer(layers: Sequence[LayerSpec]) -> LayerSpec:
+    if len(layers) != 1:
         raise ValueError(
-            f"layer-adapted scalar meshes need a scalar problem, got m={problem.m}"
+            f"scalar layer meshes need a scalar problem, got m={len(layers)} "
+            f"(the family takes 1 eps value, got {len(layers)})"
         )
-    return build(default_envelope(problem)[0], n)
+    return layers[0]
+
+
+# Mesh families by tag, as (layers, n) -> Mesh1D.  The scalar families take
+# exactly one layer, system-shishkin takes every layer and uniform reads
+# none.  gartland and duran-lombardi grade toward a coarse step h = 1/n.
+# The lambdas look their builders up per call, so rebinding a module name
+# (monkeypatching, tracing) takes effect.
+MESHES: dict[str, Callable[[Sequence[LayerSpec], int], Mesh1D]] = {
+    "uniform": lambda layers, n: uniform_mesh(n),
+    "shishkin": lambda layers, n: shishkin(_one_layer(layers), n),
+    "bakhvalov-shishkin": lambda layers, n: bakhvalov_shishkin(_one_layer(layers), n),
+    "bakhvalov-type": lambda layers, n: bakhvalov_type(_one_layer(layers), n),
+    "bakhvalov": lambda layers, n: bakhvalov_original(_one_layer(layers), n),
+    "gartland": lambda layers, n: gartland(_one_layer(layers), 1.0 / n),
+    "duran-lombardi": lambda layers, n: duran_lombardi(_one_layer(layers), 1.0 / n),
+    "lambert": lambda layers, n: lambert_mesh(_one_layer(layers), n),
+    "system-shishkin": lambda layers, n: system_shishkin(layers, n),
+}
+
+MESH_TAGS = tuple(MESHES)
+
+
+class _Envelope(Sequence):
+    """default_envelope(problem), computed on first read.  A uniform mesh
+    reads no layer, so it also serves problems that have no envelope."""
+
+    def __init__(self, problem: SystemProblem) -> None:
+        self.problem = problem
+
+    def __len__(self) -> int:
+        return self.problem.m  # one layer per component
+
+    def __getitem__(self, i):
+        return default_envelope(self.problem)[i]
 
 
 def mesh_family(tag: str) -> Callable[[SystemProblem, int], Mesh1D]:
-    """Problem-aware mesh builders for the study registry and the CLI.
-
-    Each layer's eps, decay rate and side come from default_envelope.  The
-    scalar families take the one layer of an m = 1 problem; system-shishkin
-    takes every layer.
-    """
-    if tag not in MESH_TAGS:
+    """Problem-aware mesh builders: the tag's MESHES entry applied to the
+    problem's default_envelope, which carries each layer's eps, decay rate
+    and side."""
+    if tag not in MESHES:
         raise ValueError(f"unknown mesh family {tag!r}; known: {', '.join(MESH_TAGS)}")
-    if tag == "uniform":
-        return lambda problem, n: uniform_mesh(n)
-    if tag == "system-shishkin":
-        return lambda problem, n: system_shishkin(default_envelope(problem), n)
-    # builders are looked up per call, so rebinding the module names
-    # (monkeypatching, tracing) takes effect
-    build = {
-        "shishkin": shishkin,
-        "bakhvalov-shishkin": bakhvalov_shishkin,
-        "bakhvalov-type": bakhvalov_type,
-    }[tag]
-    return lambda problem, n: _scalar_layer_mesh(build, problem, n)
+    build = MESHES[tag]
+    return lambda problem, n: build(_Envelope(problem), n)
 
 
 @dataclass(frozen=True)
@@ -729,11 +774,16 @@ def study_from_dict(data: dict) -> StudyConfig:
         raise ValueError(f"study config missing keys: {', '.join(sorted(missing))}")
     if not all(isinstance(data[k], (list, tuple)) for k in ("N_list", "eps_list")):
         raise ValueError("study config N_list and eps_list must be lists")
-    return StudyConfig(
-        n_list=data["N_list"],
-        eps_list=data["eps_list"],
-        **{k: str(data[k]) for k in _TEXT_KEYS if k in data},
-    )
+    if not isinstance(data.get("output", ""), str):
+        raise ValueError(f"study config output must be a file name, got {data['output']!r}")
+    try:
+        return StudyConfig(
+            n_list=data["N_list"],
+            eps_list=data["eps_list"],
+            **{k: str(data[k]) for k in _TEXT_KEYS if k in data},
+        )
+    except TypeError as exc:
+        raise ValueError(f"study config N_list and eps_list must hold numbers: {exc}") from exc
 
 
 def run_study(cfg: StudyConfig) -> ConvergenceReport:

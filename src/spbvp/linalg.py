@@ -130,7 +130,11 @@ def _singular(level: int) -> SingularMatrixError:
 # calls at 256 rows for m = 2 and 3, 3.7x and 2.7x at 1024 and 4.9x and 3.5x
 # at 2048.  The threshold sits above 1025 rows all the same, so that the
 # solves of N <= 1024 cells keep the batched rounding and with it their study
-# outputs bit for bit.
+# outputs bit for bit.  The batched kernel still wins on the narrow levels:
+# running every m >= 2 level component-major raised the system-studies
+# benchmark's wall_s from 0.166 to 0.176 s on the same VM (medians of 4
+# alternating pairs, 3 of them lost), so the row count keeps selecting the
+# kernel.
 _WIDE = 2048
 
 

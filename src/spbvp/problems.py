@@ -40,7 +40,6 @@ __all__ = [
     "builtin_strongly_coupled_variable",
     "builtin_reaction_diffusion_system",
     "builtin_weakly_coupled_cd",
-    "BUILTIN_PROBLEMS",
 ]
 
 KINDS = ("weakly-coupled-cd", "strongly-coupled-cd", "reaction-diffusion")
@@ -725,22 +724,22 @@ def problem_from_dict(data: dict) -> SystemProblem:
     b (m x m or null), g0, g1, label.  Function coefficients are not
     representable in JSON and must be built through the API instead.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"problem must be a JSON object, got {type(data).__name__}")
     try:
         m = int(data["m"])
         eps = tuple(float(e) for e in data["eps"])
         kind = str(data["kind"])
         a = coefficient(np.asarray(data["a"], dtype=float), (m, m))
         f = coefficient(np.asarray(data["f"], dtype=float), (m,))
+        b_raw = data.get("b")
+        b = None if b_raw is None else coefficient(np.asarray(b_raw, dtype=float), (m, m))
+        g0 = np.asarray(data.get("g0", np.zeros(m)), dtype=float)
+        g1 = np.asarray(data.get("g1", np.zeros(m)), dtype=float)
     except KeyError as exc:
         raise ValueError(f"problem dict missing key {exc.args[0]!r}") from exc
-    b_raw = data.get("b")
-    b = (
-        coefficient(np.asarray(b_raw, dtype=float), (m, m))
-        if b_raw is not None
-        else None
-    )
-    g0 = np.asarray(data.get("g0", np.zeros(m)), dtype=float)
-    g1 = np.asarray(data.get("g1", np.zeros(m)), dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"malformed problem dict: {exc}") from exc
     return SystemProblem(
         m=m,
         eps=eps,
@@ -849,11 +848,3 @@ def builtin_weakly_coupled_cd(
     )
     return problem, ref
 
-
-BUILTIN_PROBLEMS: dict[str, Callable[..., tuple[SystemProblem, ReferenceSolution]]] = {
-    "scalar-cd": builtin_scalar_cd,
-    "strongly-coupled-2x2": builtin_strongly_coupled_example,
-    "strongly-coupled-variable": builtin_strongly_coupled_variable,
-    "reaction-diffusion": builtin_reaction_diffusion_system,
-    "weakly-coupled-cd": builtin_weakly_coupled_cd,
-}

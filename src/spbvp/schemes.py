@@ -24,16 +24,12 @@ __all__ = [
     "DiscreteOperator",
     "DiscreteSolution",
     "assemble",
-    "ias_assemble",
     "apply",
     "solve",
     "discrete_solve",
     "energy_norm",
     "energy_norm_error",
 ]
-
-SCHEME_TAGS = ("simple-upwind", "midpoint-upwind", "central", "ias", "galerkin-fem")
-
 
 @dataclass(frozen=True)
 class DiscreteOperator:
@@ -103,7 +99,7 @@ def _add_second_difference(sub, diag, sup, hl, hr, d):
     _component_diagonals(sup)[1:] += -d[None, :] * c2p[:, None]
 
 
-def _finalize(sub, diag, sup, rhs, problem, mesh, tag, fold_boundary=False):
+def _finalize(sub, diag, sup, rhs, problem, mesh, tag):
     m = problem.m
     eye = np.eye(m)
     diag[0] = eye
@@ -112,13 +108,6 @@ def _finalize(sub, diag, sup, rhs, problem, mesh, tag, fold_boundary=False):
     diag[-1] = eye
     sub[-1] = 0.0
     rhs[-1] = problem.g1
-    if fold_boundary:
-        # move the boundary couplings into the rhs so the remaining matrix
-        # stays symmetric when the bulk assembly is
-        rhs[1] -= sub[0] @ problem.g0
-        sub[0] = 0.0
-        rhs[-2] -= sup[-1] @ problem.g1
-        sup[-1] = 0.0
     return DiscreteOperator(
         matrix=BlockTridiag(sub=sub, diag=diag, sup=sup),
         rhs=rhs,
@@ -142,6 +131,8 @@ def _warn_on_sign_change(bkk: np.ndarray) -> None:
 
 
 def _assemble_simple_upwind(problem, mesh):
+    if problem.b is None:
+        raise ValueError("upwind schemes need a convection term")
     x = mesh.points
     n = len(x) - 1
     m = problem.m
@@ -166,6 +157,8 @@ def _assemble_simple_upwind(problem, mesh):
 
 
 def _assemble_midpoint_upwind(problem, mesh):
+    if problem.b is None:
+        raise ValueError("upwind schemes need a convection term")
     if problem.kind != "weakly-coupled-cd":
         raise ValueError(
             "midpoint upwinding is defined for diagonal convection "
@@ -276,36 +269,14 @@ def _assemble_galerkin(problem, mesh):
     load_r = np.einsum("ng,ngj->nj", wq[:, None] * phi_r, f_g)
     rhs[:-1] += load_l
     rhs[1:] += load_r
+    # move the boundary couplings into the rhs so the remaining matrix stays
+    # symmetric when the bulk assembly is; the boundary rows themselves are
+    # written by _finalize
+    rhs[1] -= sub[0] @ problem.g0
+    sub[0] = 0.0
+    rhs[-2] -= sup[-1] @ problem.g1
+    sup[-1] = 0.0
     return sub, diag, sup, rhs
-
-
-def assemble(problem: SystemProblem, mesh: Mesh1D, scheme: str) -> DiscreteOperator:
-    """Assemble the selected scheme for the problem on the mesh.
-
-    Interior row i of the simple upwind scheme encodes
-    -d_k D+D- u_k + b_kk (D- if b_kk > 0 else D+) u_k + sum_j a_kj u_j = f_k
-    with every convection entry upwinded by its own sign; the midpoint
-    variant moves convection, reaction and source to the upwind cell
-    midpoint with the unknown averaged there; central drops convection
-    (reaction-diffusion only); galerkin-fem integrates linear elements.
-    """
-    if scheme == "ias":
-        return ias_assemble(problem, mesh)
-    if scheme in ("simple-upwind", "midpoint-upwind") and problem.b is None:
-        raise ValueError("upwind schemes need a convection term")
-    if scheme == "simple-upwind":
-        parts = _assemble_simple_upwind(problem, mesh)
-    elif scheme == "midpoint-upwind":
-        parts = _assemble_midpoint_upwind(problem, mesh)
-    elif scheme == "central":
-        parts = _assemble_central(problem, mesh)
-    elif scheme == "galerkin-fem":
-        parts = _assemble_galerkin(problem, mesh)
-    else:
-        raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
-    return _finalize(
-        *parts, problem, mesh, scheme, fold_boundary=scheme == "galerkin-fem"
-    )
 
 
 def _fitting_factor(rho: np.ndarray) -> np.ndarray:
@@ -324,7 +295,7 @@ def _fitting_factor(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def ias_assemble(problem: SystemProblem, mesh: Mesh1D) -> DiscreteOperator:
+def _assemble_ias(problem, mesh):
     """Fitted-operator scheme on a uniform mesh.
 
     At each node the (symmetric) convection matrix is eigendecomposed,
@@ -374,7 +345,35 @@ def ias_assemble(problem: SystemProblem, mesh: Mesh1D) -> DiscreteOperator:
     sup[1:] += b_vals * inv_2h
     diag[1:-1] += problem.a(xi)
     rhs[1:-1] = problem.f(xi)
-    return _finalize(sub, diag, sup, rhs, problem, mesh, "ias")
+    return sub, diag, sup, rhs
+
+
+_ASSEMBLERS = {
+    "simple-upwind": _assemble_simple_upwind,
+    "midpoint-upwind": _assemble_midpoint_upwind,
+    "central": _assemble_central,
+    "ias": _assemble_ias,
+    "galerkin-fem": _assemble_galerkin,
+}
+
+SCHEME_TAGS = tuple(_ASSEMBLERS)
+
+
+def assemble(problem: SystemProblem, mesh: Mesh1D, scheme: str) -> DiscreteOperator:
+    """Assemble the selected scheme for the problem on the mesh.
+
+    Interior row i of the simple upwind scheme encodes
+    -d_k D+D- u_k + b_kk (D- if b_kk > 0 else D+) u_k + sum_j a_kj u_j = f_k
+    with every convection entry upwinded by its own sign; the midpoint
+    variant moves convection, reaction and source to the upwind cell
+    midpoint with the unknown averaged there; central drops convection
+    (reaction-diffusion only); ias fits the second difference to the
+    convection (uniform meshes only); galerkin-fem integrates linear
+    elements.
+    """
+    if scheme not in _ASSEMBLERS:
+        raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
+    return _finalize(*_ASSEMBLERS[scheme](problem, mesh), problem, mesh, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from spbvp import meshes
 from spbvp.cli import main
-from spbvp.harness import MESH_TAGS, mesh_family, problem_family, report_emit, sweep
+from spbvp.harness import (
+    MESH_TAGS,
+    PROBLEMS,
+    mesh_family,
+    problem_family,
+    report_emit,
+    sweep,
+)
+from spbvp.meshes import LayerSpec
 from spbvp.schemes import discrete_solve
 
 
@@ -48,12 +57,58 @@ def test_mesh_writes_to_file(tmp_path, capsys):
 
 
 def test_mesh_h_driven_families(capsys):
+    # the step-driven families take their coarse step from --n: h = 1/n
     code, out, _ = _run(capsys, "mesh", "--family", "gartland", "--eps", "1e-4",
-                        "--h", "0.2")
-    assert code == 0 and "# ratio" in out
-    code, _, err = _run(capsys, "mesh", "--family", "duran-lombardi",
-                        "--eps", "1e-4")
-    assert code == 3 and "--h" in err
+                        "--n", "5")
+    assert code == 0 and "h=0.2," in out and "# ratio" in out
+    code, out, _ = _run(capsys, "mesh", "--family", "duran-lombardi",
+                        "--eps", "1e-4", "--n", "64")
+    assert code == 0 and "h=0.015625,kappa=1," in out
+    for flag in ("--kappa", "--q"):
+        code, _, err = _run(capsys, "mesh", "--family", "gartland", flag, "0.2")
+        assert code == 3 and "unrecognized arguments" in err
+    # "--h" is an abbreviation of --help
+    code, out, _ = _run(capsys, "mesh", "--family", "gartland", "--h", "0.2")
+    assert code == 0 and "i,x_i,h_i" not in out
+
+
+# every mesh tag and the meshes function it builds; scalar families take the
+# one layer, gartland and duran-lombardi a coarse step 1/n
+_MESH_BUILDERS = {
+    "uniform": lambda layers, n: meshes.uniform_mesh(n),
+    "shishkin": lambda layers, n: meshes.shishkin(layers[0], n),
+    "bakhvalov-shishkin": lambda layers, n: meshes.bakhvalov_shishkin(layers[0], n),
+    "bakhvalov-type": lambda layers, n: meshes.bakhvalov_type(layers[0], n),
+    "bakhvalov": lambda layers, n: meshes.bakhvalov_original(layers[0], n, q=0.5),
+    "gartland": lambda layers, n: meshes.gartland(layers[0], 1.0 / n),
+    "duran-lombardi": lambda layers, n: meshes.duran_lombardi(layers[0], 1.0 / n, kappa=1.0),
+    "lambert": lambda layers, n: meshes.lambert_mesh(layers[0], n),
+    "system-shishkin": lambda layers, n: meshes.system_shishkin(layers, n),
+}
+
+
+@pytest.mark.parametrize("tag", MESH_TAGS)
+def test_every_mesh_tag_works_with_mesh_solve_and_study(tag, tmp_path, capsys):
+    assert set(_MESH_BUILDERS) == set(MESH_TAGS)
+    for n in (4, 16, 64):
+        code, out, _ = _run(capsys, "mesh", "--family", tag, "--eps", "1e-4",
+                            "--n", str(n), "--side", "right", "--gamma", "2")
+        assert code == 0
+        want = _MESH_BUILDERS[tag]([LayerSpec(1e-4, gamma=2.0, side="right")], n)
+        xs = [float(row.split(",")[1]) for row in _mesh_rows(out)]
+        assert xs == [float(f"{x:.12e}") for x in want.points]
+    code, out, _ = _run(capsys, "solve", "--mesh", tag, "--n", "16", "--eps", "1e-4")
+    assert code == 0
+    problem, _ = problem_family("scalar-cd")((1e-4,))
+    mesh = mesh_family(tag)(problem, 16)
+    assert len(out.strip().splitlines()) == len(mesh.points) + 1
+    cfg = {"problem": "scalar-cd", "scheme": "simple-upwind", "mesh": tag,
+           "N_list": [16, 32], "eps_list": [1e-4]}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "study", "--config", str(path))
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == 3
 
 
 def test_mesh_rejects_malformed_eps(capsys):
@@ -131,11 +186,48 @@ def test_solve_reads_problem_json(tmp_path, capsys):
 
 
 def test_solve_accepts_every_mesh_tag(capsys):
+    problem, _ = problem_family("scalar-cd")()
     for tag in MESH_TAGS:
         code, out, _ = _run(capsys, "solve", "--mesh", tag, "--n", "16")
-        assert code == 0 and len(out.strip().splitlines()) == 18
-    code, _, err = _run(capsys, "solve", "--mesh", "gartland")
+        # one row per mesh node; the step-driven families set their own count
+        rows = len(mesh_family(tag)(problem, 16).points)
+        assert code == 0 and len(out.strip().splitlines()) == rows + 1
+    code, _, err = _run(capsys, "solve", "--mesh", "graded")
     assert code == 3 and "invalid choice" in err
+
+
+# a mesh and a scheme each builtin problem solves on, and an eps vector
+_PROBLEM_RUNS = {
+    "scalar-cd": ("shishkin", "simple-upwind", "1e-3"),
+    "strongly-coupled-2x2": ("uniform", "ias", "1e-3"),
+    "strongly-coupled-2x2-oracle": ("uniform", "ias", "1e-3"),
+    "strongly-coupled-variable": ("uniform", "ias", "1e-3"),
+    "reaction-diffusion": ("system-shishkin", "central", "1e-3,1e-2"),
+    "weakly-coupled-cd": ("system-shishkin", "simple-upwind", "1e-3,1e-2"),
+}
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_every_problem_name_works_with_solve_check_and_study(name, tmp_path, capsys):
+    assert set(_PROBLEM_RUNS) == set(PROBLEMS)
+    mesh, scheme, eps = _PROBLEM_RUNS[name]
+    problem, _ = problem_family(name)(tuple(map(float, eps.split(","))))
+    code, out, err = _run(capsys, "solve", "--problem", name, "--eps", eps,
+                          "--mesh", mesh, "--scheme", scheme, "--n", "24")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "x," + ",".join(f"u_{k + 1}" for k in range(problem.m))
+    assert len(out.strip().splitlines()) == 26
+    code, out, err = _run(capsys, "check", "--problem", name, "--eps", eps)
+    assert code == 0 and err == "" and json.loads(out)
+    code, out, err = _run(capsys, "check", "--problem", name)
+    assert code == 0 and err == "" and json.loads(out)
+    cfg = {"problem": name, "scheme": scheme, "mesh": mesh, "N_list": [24, 48],
+           "eps_list": [[float(e) for e in eps.split(",")]]}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "study", "--config", str(path))
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == 3
 
 
 def test_solve_without_layer_data_is_config_error(capsys):
@@ -277,6 +369,32 @@ def test_study_config_errors_exit_3(tmp_path, capsys):
     missing.write_text(json.dumps({"problem": "scalar-cd"}))
     code, _, err = _run(capsys, "study", "--config", str(missing))
     assert code == 3 and "missing keys" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([{"m": 1}], "problem must be a JSON object, got list"),
+    ({"m": 1, "eps": 1e-3, "kind": "reaction-diffusion", "a": [[1.0]], "f": [1.0]},
+     "malformed problem dict"),
+], ids=["top-level-list", "bare-eps"])
+def test_solve_malformed_problem_json_is_config_error(spec, message, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, "solve", "--problem", str(path))
+    assert code == 3 and out == "" and message in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"N_list": [[64]]}, "N_list and eps_list must hold numbers"),
+    ({"eps_list": [None]}, "N_list and eps_list must hold numbers"),
+    ({"output": 5}, "output must be a file name, got 5"),
+], ids=["nested-N", "null-eps", "numeric-output"])
+def test_study_malformed_config_values_exit_3(extra, message, tmp_path, capsys):
+    cfg = {"problem": "scalar-cd", "scheme": "simple-upwind", "mesh": "shishkin",
+           "N_list": [16], "eps_list": [1e-3], **extra}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "study", "--config", str(path))
+    assert code == 3 and out == "" and message in err
 
 
 def test_study_config_rejects_unknown_and_retired_keys(tmp_path, capsys):

@@ -13,6 +13,7 @@ from spbvp.harness import (
     CSV_HEADER,
     ConvergenceReport,
     ErrorRecord,
+    PROBLEMS,
     RATE_TARGETS,
     STUDIES,
     StudyConfig,
@@ -596,6 +597,14 @@ def test_single_eps_problem_families_reject_eps_vectors():
     )
     with pytest.raises(ValueError, match="takes 1 eps value"):
         run_study(cfg)
+
+
+def test_problem_families_reject_an_empty_eps_vector():
+    # without eps a family builds its builtin's default; an empty vector
+    # must not read as "without eps"
+    for name in PROBLEMS:
+        with pytest.raises(ValueError, match="at least one value"):
+            problem_family(name)(())
 
 
 def test_mesh_families_read_layer_data_off_the_problem():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spbvp
+from spbvp.harness import PROBLEMS, problem_family
 from spbvp.meshes import LayerSpec
 from spbvp.problems import (
-    BUILTIN_PROBLEMS,
     Coefficient,
     ReferenceSolution,
     SystemProblem,
@@ -470,17 +471,22 @@ def test_oracle_builtins_defer_and_round_counts():
 
 
 def test_builtin_registry_complete():
-    assert set(BUILTIN_PROBLEMS) == {
-        "scalar-cd",
-        "strongly-coupled-2x2",
-        "strongly-coupled-variable",
-        "reaction-diffusion",
-        "weakly-coupled-cd",
+    assert spbvp.PROBLEMS is PROBLEMS
+    builtins = {
+        "scalar-cd": builtin_scalar_cd,
+        "strongly-coupled-2x2": builtin_strongly_coupled_example,
+        "strongly-coupled-2x2-oracle": builtin_strongly_coupled_example,
+        "strongly-coupled-variable": builtin_strongly_coupled_variable,
+        "reaction-diffusion": builtin_reaction_diffusion_system,
+        "weakly-coupled-cd": builtin_weakly_coupled_cd,
     }
-    for factory in BUILTIN_PROBLEMS.values():
-        prob, ref = factory()
+    assert set(PROBLEMS) == set(builtins)
+    for name, builtin in builtins.items():
+        # without eps, every name builds its builtin's default problem
+        prob, ref = problem_family(name)()
         assert isinstance(prob, SystemProblem)
         assert isinstance(ref, ReferenceSolution)
+        assert prob.label == builtin()[0].label
 
 
 def test_reference_solution_validation():

@@ -28,7 +28,6 @@ from spbvp.schemes import (
     discrete_solve,
     energy_norm,
     energy_norm_error,
-    ias_assemble,
     solve,
     _fitting_factor,
 )
@@ -252,7 +251,7 @@ def test_ias_scalar_equals_sigma_scaled_central_plus_centered_convection():
 def test_ias_rejects_nonuniform_multiparameter_asymmetric_and_diffusion():
     spec = LayerSpec(eps=1e-3, gamma=1.0, mu=2.0, side="left")
     with pytest.raises(ValueError, match="uniform mesh"):
-        ias_assemble(_scalar_cd(eps=1e-3), shishkin(spec, 8))
+        assemble(_scalar_cd(eps=1e-3), shishkin(spec, 8), "ias")
     multi = SystemProblem(
         m=2,
         eps=(1e-6, 1e-3),
@@ -262,7 +261,7 @@ def test_ias_rejects_nonuniform_multiparameter_asymmetric_and_diffusion():
         f=coefficient(np.ones(2), (2,)),
     )
     with pytest.raises(ValueError, match="single perturbation"):
-        ias_assemble(multi, uniform_mesh(8))
+        assemble(multi, uniform_mesh(8), "ias")
     skewed = SystemProblem(
         m=2,
         eps=(1e-3, 1e-3),
@@ -272,9 +271,9 @@ def test_ias_rejects_nonuniform_multiparameter_asymmetric_and_diffusion():
         f=coefficient(np.ones(2), (2,)),
     )
     with pytest.raises(ValueError, match="symmetric"):
-        ias_assemble(skewed, uniform_mesh(8))
+        assemble(skewed, uniform_mesh(8), "ias")
     with pytest.raises(ValueError, match="convection term"):
-        ias_assemble(_scalar_rd(), uniform_mesh(8))
+        assemble(_scalar_rd(), uniform_mesh(8), "ias")
 
 
 def test_ias_is_nodally_exact_on_constant_coefficient_2x2():
