@@ -32,8 +32,6 @@ from .meshes import (
     gartland,
     lambert_mesh,
     mirror,
-    shishkin,
-    shishkin_type,
     system_shishkin,
     uniform_mesh,
 )

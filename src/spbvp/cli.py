@@ -144,12 +144,17 @@ def _cmd_study(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spbvp",
+        # no prefix matching: a misspelt or retired flag must not resolve to
+        # another one (--h to --help, --sch to --scheme)
+        allow_abbrev=False,
         description="Layer-adapted meshes and robust discretizations for "
         "singularly perturbed two-point boundary value problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    mesh_p = sub.add_parser("mesh", help="generate a mesh as CSV i,x_i,h_i")
+    mesh_p = sub.add_parser(
+        "mesh", help="generate a mesh as CSV i,x_i,h_i", allow_abbrev=False
+    )
     mesh_p.add_argument("--family", choices=MESH_TAGS, default="shishkin")
     mesh_p.add_argument("--eps", default="1e-6", help="eps, or comma list for systems")
     mesh_p.add_argument(
@@ -162,7 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     mesh_p.add_argument("--out", default=None, help="output file (default stdout)")
     mesh_p.set_defaults(func=_cmd_mesh)
 
-    solve_p = sub.add_parser("solve", help="solve a problem, emit CSV x,u_1..u_M")
+    solve_p = sub.add_parser(
+        "solve", help="solve a problem, emit CSV x,u_1..u_M", allow_abbrev=False
+    )
     solve_p.add_argument(
         "--problem",
         default="scalar-cd",
@@ -175,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--out", default=None)
     solve_p.set_defaults(func=_cmd_solve)
 
-    check_p = sub.add_parser("check", help="stability pre-checks as JSON")
+    check_p = sub.add_parser("check", help="stability pre-checks as JSON", allow_abbrev=False)
     check_p.add_argument("--problem", default="reaction-diffusion")
     check_p.add_argument("--eps", default=None)
     check_p.add_argument("--out", default=None)
     check_p.set_defaults(func=_cmd_check)
 
-    study_p = sub.add_parser("study", help="run a convergence study")
+    study_p = sub.add_parser("study", help="run a convergence study", allow_abbrev=False)
     study_p.add_argument("--config", default=None, help="JSON study configuration")
     study_p.add_argument("--name", default=None, help="registered study name")
     study_p.add_argument("--output", default=None, help="report file (default stdout)")

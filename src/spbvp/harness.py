@@ -28,7 +28,6 @@ from .meshes import (
     duran_lombardi,
     gartland,
     lambert_mesh,
-    shishkin,
     system_shishkin,
     uniform_mesh,
 )
@@ -141,6 +140,14 @@ def _eps_key(eps) -> tuple[float, ...]:
     return key
 
 
+def _n_key(n) -> int:
+    """A mesh size N as an int.  Bools and non-integral values are rejected,
+    so 16.7 or True cannot run as N = 16 or N = 1."""
+    if isinstance(n, (bool, np.bool_, str)) or not float(n).is_integer():
+        raise ValueError(f"N values must be integers, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class ErrorRecord:
     """One sweep cell: a (mesh size, eps vector) pair and its errors.
@@ -159,6 +166,7 @@ class ErrorRecord:
     failure: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _n_key(self.n))
         object.__setattr__(self, "eps", _eps_key(self.eps))
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
@@ -188,7 +196,7 @@ class ConvergenceReport:
     norm: str = "max"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", tuple(_n_key(n) for n in self.n_list))
         object.__setattr__(
             self, "eps_list", tuple(_eps_key(e) for e in self.eps_list)
         )
@@ -351,7 +359,7 @@ def sweep(
     """
     if scheme not in SCHEME_TAGS:
         raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
-    ns = tuple(int(n) for n in n_list)
+    ns = tuple(_n_key(n) for n in n_list)
     epss = tuple(_eps_key(e) for e in eps_list)
     if not ns or not epss:
         raise ValueError("n_list and eps_list must be non-empty")
@@ -496,7 +504,7 @@ def report_from_json(text: str) -> ConvergenceReport:
         ErrorRecord(
             family=data["family"],
             scheme=data["scheme"],
-            n=int(r["n"]),
+            n=r["n"],
             eps=tuple(r["eps"]),
             err_max=math.nan if r["err_max"] is None else float(r["err_max"]),
             err_energy=None if r["err_energy"] is None else float(r["err_energy"]),
@@ -583,18 +591,18 @@ def _one_layer(layers: Sequence[LayerSpec]) -> LayerSpec:
 
 
 # Mesh families by tag, as (layers, n) -> Mesh1D.  The scalar families take
-# exactly one layer, system-shishkin takes every layer and uniform reads
-# none.  gartland and duran-lombardi grade toward a coarse step h = 1/n.
-# The lambdas look their builders up per call, so rebinding a module name
-# (monkeypatching, tracing) takes effect.
+# exactly one layer (shishkin is system_shishkin on it), system-shishkin
+# takes every layer and uniform reads none.  The lambdas look their builders
+# up per call, so rebinding a module name (monkeypatching, tracing) takes
+# effect.
 MESHES: dict[str, Callable[[Sequence[LayerSpec], int], Mesh1D]] = {
     "uniform": lambda layers, n: uniform_mesh(n),
-    "shishkin": lambda layers, n: shishkin(_one_layer(layers), n),
+    "shishkin": lambda layers, n: system_shishkin([_one_layer(layers)], n),
     "bakhvalov-shishkin": lambda layers, n: bakhvalov_shishkin(_one_layer(layers), n),
     "bakhvalov-type": lambda layers, n: bakhvalov_type(_one_layer(layers), n),
     "bakhvalov": lambda layers, n: bakhvalov_original(_one_layer(layers), n),
-    "gartland": lambda layers, n: gartland(_one_layer(layers), 1.0 / n),
-    "duran-lombardi": lambda layers, n: duran_lombardi(_one_layer(layers), 1.0 / n),
+    "gartland": lambda layers, n: gartland(_one_layer(layers), n),
+    "duran-lombardi": lambda layers, n: duran_lombardi(_one_layer(layers), n),
     "lambert": lambda layers, n: lambert_mesh(_one_layer(layers), n),
     "system-shishkin": lambda layers, n: system_shishkin(layers, n),
 }
@@ -640,7 +648,7 @@ class StudyConfig:
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", tuple(_n_key(n) for n in self.n_list))
         object.__setattr__(
             self, "eps_list", tuple(_eps_key(e) for e in self.eps_list)
         )

@@ -1,15 +1,21 @@
 """Layer-adapted meshes on the unit interval.
 
+Every family is one function of (LayerSpec, n): ``uniform_mesh`` reads no
+layer, ``system_shishkin`` builds the piecewise-uniform Shishkin mesh for
+one or several layers, and the graded families (``bakhvalov_shishkin``,
+``bakhvalov_type``, ``bakhvalov_original``, ``gartland``,
+``duran_lombardi``, ``lambert_mesh``) take the one layer.  ``gartland`` and
+``duran_lombardi`` grade toward the coarse step h = 1/n.
+
 All constructors build the canonical orientation with the boundary layer at
 x = 0, and ``_oriented`` is the one place that turns those points into a
-mesh, mirrored when the layer sits at x = 1; ``system_shishkin`` orients
-its nested bands through it too.  The piecewise families
-(``shishkin``, ``shishkin_type``, ``bakhvalov_type``) build only their layer
-points on [0, sigma]; ``_layer_mesh`` appends the uniform part and, for
-side='both', the layer points reflected at x = 1.  Graded families
-degenerate to the uniform mesh (with a note in ``Mesh1D.meta``) whenever
-their transition point would leave the admissible range; callers can rely
-on always getting a valid mesh back for any positive layer width.
+mesh, mirrored when the layer sits at x = 1.  ``bakhvalov_shishkin`` and
+``bakhvalov_type`` build only their graded points on [0, sigma];
+``_layer_mesh`` appends the uniform part and, for side='both', the graded
+points reflected at x = 1.  Graded families degenerate to the uniform mesh
+(with a note in ``Mesh1D.meta``) whenever their transition point would
+leave the admissible range; callers can rely on always getting a valid mesh
+back for any positive layer width.
 
 Width parameters follow one convention everywhere: a layer of the form
 exp(-gamma*x/eps) is resolved on a region of width ~ mu*eps/gamma, where mu
@@ -24,20 +30,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .quadrature import adaptive_cell_integral
 from .rootfind import solve_scalar
 
 __all__ = [
     "Mesh1D",
     "LayerSpec",
-    "MeshCharFn",
     "MeshDiagnostics",
     "uniform_mesh",
-    "shishkin",
-    "shishkin_charfn",
-    "bakhvalov_shishkin_charfn",
-    "charfn_from_callable",
-    "shishkin_type",
     "bakhvalov_shishkin",
     "bakhvalov_type",
     "bakhvalov_original",
@@ -136,32 +135,13 @@ class LayerSpec:
 
 
 @dataclass(frozen=True)
-class MeshCharFn:
-    """Mesh-generating data for graded-then-uniform meshes.
-
-    lam maps [0, 1/2] onto [0, ln(n)] monotonically; the associated
-    characterizing function psi = exp(-lam) decays from 1 to 1/n, and
-    max|psi'| governs the error constant of fitted-mesh schemes.
-    """
-
-    lam: Callable[[np.ndarray], np.ndarray]
-    max_psi_prime: float
-    label: str = "charfn"
-
-    def psi(self, t: np.ndarray) -> np.ndarray:
-        return np.exp(-np.asarray(self.lam(t), dtype=float))
-
-
-@dataclass(frozen=True)
 class MeshDiagnostics:
-    """Spacing summary plus an optional mesh-quality functional."""
+    """Spacing summary of a mesh."""
 
     n_cells: int
     min_h: float
     max_h: float
     ratio: float  # worst adjacent-cell ratio, >= 1
-    q: float | None = None  # max over cells of integral of g
-    q_warnings: tuple[str, ...] = ()
 
 
 def _mesh(points, label: str, meta: dict | None = None) -> Mesh1D:
@@ -204,81 +184,26 @@ def _layer_mesh(fine: np.ndarray, n: int, side: str, label: str) -> Mesh1D:
 
 
 # ---------------------------------------------------------------------------
-# piecewise-uniform and graded-fine families
+# graded layer part, uniform tail
 # ---------------------------------------------------------------------------
 
 
-def shishkin(spec: LayerSpec, n: int) -> Mesh1D:
-    """Piecewise-uniform mesh: n/2 cells on the layer part, n/2 outside.
+def bakhvalov_shishkin(spec: LayerSpec, n: int) -> Mesh1D:
+    """Graded points -width_scale*ln(1 - 2(1-1/n)t) for equispaced t in
+    [0, 1/2], uniform beyond.
 
-    The transition point is min(1/2, width_scale * ln(n)); when the clamp at
-    1/2 is active the mesh is uniform.  side='both' splits n/4 + n/2 + n/4
-    with transition min(1/4, width_scale * ln(n)).
+    The graded points end at the Shishkin transition width_scale*ln(n); the
+    mesh degenerates to uniform when that transition reaches the clamp.
     """
-    k, limit = _layer_cells(n, spec.side, "shishkin")
-    sigma = min(limit, spec.width_scale * math.log(n))
-    label = f"shishkin(eps={spec.eps:g},n={n},side={spec.side})"
-    return _layer_mesh(np.linspace(0.0, sigma, k + 1), n, spec.side, label)
-
-
-def shishkin_charfn(n: int) -> MeshCharFn:
-    """Linear mesh-generating function; psi decays like n^(-2t)."""
-    logn = math.log(n)
-    return MeshCharFn(lam=lambda t: 2.0 * logn * np.asarray(t, dtype=float),
-                      max_psi_prime=2.0 * logn, label="shishkin")
-
-
-def bakhvalov_shishkin_charfn(n: int) -> MeshCharFn:
-    """Mesh-generating function with max|psi'| = 2(1 - 1/n) <= 2."""
-    slope = 2.0 * (1.0 - 1.0 / n)
-    return MeshCharFn(lam=lambda t: -np.log1p(-slope * np.asarray(t, dtype=float)),
-                      max_psi_prime=slope, label="bakhvalov-shishkin")
-
-
-def charfn_from_callable(
-    lam: Callable[[np.ndarray], np.ndarray], label: str = "custom", samples: int = 10001
-) -> MeshCharFn:
-    """Wrap a user mesh-generating function, estimating max|psi'| by sampling."""
-    t = np.linspace(0.0, 0.5, samples)
-    psi = np.exp(-np.asarray(lam(t), dtype=float))
-    dpsi = np.gradient(psi, t)
-    return MeshCharFn(lam=lam, max_psi_prime=float(np.max(np.abs(dpsi))), label=label)
-
-
-def shishkin_type(spec: LayerSpec, n: int, charfn: MeshCharFn) -> Mesh1D:
-    """Graded-fine/uniform-coarse mesh from a mesh-generating function.
-
-    Fine points are width_scale * lam(i/n) for i <= n/2, coarse points are
-    uniform up to 1.  Degenerates to the uniform mesh when the transition
-    width width_scale * ln(n) reaches 1/2.
-    """
-    k, limit = _layer_cells(n, spec.side, "shishkin_type")
-    label = f"shishkin_type[{charfn.label}](eps={spec.eps:g},n={n},side={spec.side})"
-    lam0 = float(charfn.lam(np.array(0.0)))
-    lam_half = float(charfn.lam(np.array(0.5)))
-    if abs(lam0) > 1e-12:
-        raise ValueError(f"mesh-generating function must vanish at 0, got {lam0!r}")
-    if abs(lam_half - math.log(n)) > 1e-8 * max(1.0, math.log(n)):
-        raise ValueError(
-            f"mesh-generating function must reach ln(n)={math.log(n)!r} at 1/2, "
-            f"got {lam_half!r}"
-        )
-    a = spec.width_scale
-    if a * lam_half >= limit:
+    k, limit = _layer_cells(n, spec.side, "bakhvalov_shishkin")
+    label = f"bakhvalov_shishkin(eps={spec.eps:g},n={n},side={spec.side})"
+    t = np.arange(k + 1) / (2.0 * k)  # [0, 1/2]
+    fine = spec.width_scale * -np.log1p(-2.0 * (1.0 - 1.0 / n) * t)
+    if fine[-1] >= limit:
         mesh = uniform_mesh(n, label)
         mesh.meta["degenerate"] = "transition reached the uniform clamp"
         return mesh
-    t = np.arange(k + 1) / (2.0 * k)  # [0, 1/2]
-    lam_vals = np.asarray(charfn.lam(t), dtype=float)
-    if np.any(np.diff(lam_vals) <= 0.0):
-        raise ValueError("mesh-generating function is not increasing on its samples")
-    fine = a * lam_vals
-    fine[0] = 0.0
     return _layer_mesh(fine, n, spec.side, label)
-
-
-def bakhvalov_shishkin(spec: LayerSpec, n: int) -> Mesh1D:
-    return shishkin_type(spec, n, bakhvalov_shishkin_charfn(n))
 
 
 def bakhvalov_type(spec: LayerSpec, n: int) -> Mesh1D:
@@ -308,9 +233,9 @@ def bakhvalov_type(spec: LayerSpec, n: int) -> Mesh1D:
 # ---------------------------------------------------------------------------
 
 
-def bakhvalov_original(spec: LayerSpec, n: int, q: float = 0.5) -> Mesh1D:
-    """Mesh from the generating function -width_scale*ln(1 - t/q) with a C^1
-    tangent extension.
+def bakhvalov_original(spec: LayerSpec, n: int) -> Mesh1D:
+    """Mesh from the generating function -width_scale*ln(1 - t/q), q = 1/2,
+    with a C^1 tangent extension.
 
     The switch point tau solves phi'(tau)*(1 - tau) = 1 - phi(tau), which
     makes the tangent hit (1, 1).  The root is found in the rescaled
@@ -318,14 +243,12 @@ def bakhvalov_original(spec: LayerSpec, n: int, q: float = 0.5) -> Mesh1D:
     meaningful for arbitrarily small eps.  Without a root (wide layers) the
     mesh degenerates to uniform.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if spec.side == "both":
         raise ValueError("bakhvalov_original supports side='left' or 'right' only")
-    label = f"bakhvalov(eps={spec.eps:g},n={n},q={q:g},side={spec.side})"
-    a = spec.width_scale
+    label = f"bakhvalov(eps={spec.eps:g},n={n},side={spec.side})"
+    q, a = 0.5, spec.width_scale
     if a >= q:
         mesh = uniform_mesh(n, label)
         mesh.meta["degenerate"] = "mesh degenerates to uniform (layer too wide)"
@@ -367,36 +290,35 @@ def bakhvalov_original(spec: LayerSpec, n: int, q: float = 0.5) -> Mesh1D:
     return _oriented(pts, spec.side, label, meta)
 
 
-def gartland(spec: LayerSpec, h: float, variant: str = "gartland") -> Mesh1D:
-    """Recursively graded mesh with target coarse step h.
+def _coarse_step(n: int, who: str) -> float:
+    """Target coarse step 1/n of the step-driven families."""
+    if n < 2:
+        raise ValueError(f"{who} needs n >= 2 (coarse step 1/n), got n={n}")
+    return 1.0 / n
 
-    Cell widths follow min(h, eps*h*exp(gamma*x/(2*eps))[, e*previous]) from
-    a first cell of min(eps*h, h); the bracketed growth cap distinguishes
-    'gartland' from 'gartland-type'.  An undersized terminal cell is merged
-    into its neighbour (or the merged span re-split) so the capped variant
-    keeps every adjacent ratio <= e.
+
+def gartland(spec: LayerSpec, n: int) -> Mesh1D:
+    """Recursively graded mesh with target coarse step h = 1/n.
+
+    Cell widths follow min(h, eps*h*exp(gamma*x/(2*eps)), e*previous) from a
+    first cell of min(eps*h, h).  An undersized terminal cell is merged into
+    its neighbour (or the merged span re-split) so every adjacent ratio
+    stays <= e.
     """
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"h must lie in (0, 1), got {h!r}")
-    if variant not in ("gartland", "gartland-type"):
-        raise ValueError(f"unknown variant {variant!r}")
+    h = _coarse_step(n, "gartland")
     if spec.side == "both":
         raise ValueError("gartland supports side='left' or 'right' only")
-    cap_ratio = variant == "gartland"
     eps, gamma = spec.eps, spec.gamma
     pts = [0.0]
     prev = min(eps * h, h)
     x = prev
-    guard = int(20.0 / h) + 10_000_000
+    guard = 20 * n + 10_000_000
     while x < 1.0:
         pts.append(x)
         arg = gamma * x / (2.0 * eps)
         grown = eps * h * math.exp(arg) if arg < 700.0 else h
-        step = min(h, grown)
-        if cap_ratio:
-            step = min(step, math.e * prev)
-        prev = step
-        x = x + step
+        prev = min(h, grown, math.e * prev)
+        x = x + prev
         if len(pts) > guard:
             raise RuntimeError("mesh generation did not terminate")
     # Terminal cell: keep the adjacent-cell ratio <= e.  A remainder at
@@ -415,35 +337,21 @@ def gartland(spec: LayerSpec, h: float, variant: str = "gartland") -> Mesh1D:
         else:
             pts[-1] = 0.5 * (pts[-2] + 1.0)
             pts.append(1.0)
-    label = f"{variant}(eps={eps:g},h={h:g},side={spec.side})"
+    label = f"gartland(eps={eps:g},n={n},side={spec.side})"
     return _oriented(pts, spec.side, label, {"target_h": h})
 
 
-def duran_lombardi(
-    spec: LayerSpec, h: float, kappa: float = 1.0, initial_uniform: bool = False
-) -> Mesh1D:
-    """Geometrically graded mesh: x_1 = kappa*h*eps, then growth by 1 + kappa*h.
-
-    With initial_uniform=True the first ~1/(kappa*h) cells stay uniform of
-    width kappa*h*eps before the geometric phase starts.  A final cell
-    shorter than half its neighbour is merged.
-    """
-    if not 0.0 < kappa * h < 1.0:
-        raise ValueError(f"need 0 < kappa*h < 1, got kappa*h={kappa * h!r}")
+def duran_lombardi(spec: LayerSpec, n: int) -> Mesh1D:
+    """Geometrically graded mesh with h = 1/n: x_1 = h*eps, then growth by
+    1 + h.  A final cell shorter than half its neighbour is merged."""
+    h = _coarse_step(n, "duran_lombardi")
     if not spec.eps <= 1.0:
         raise ValueError(f"eps must be <= 1, got {spec.eps!r}")
     if spec.side == "both":
         raise ValueError("duran_lombardi supports side='left' or 'right' only")
-    ratio = 1.0 + kappa * h
+    ratio = 1.0 + h
     pts = [0.0]
-    x = kappa * h * spec.eps
-    if initial_uniform:
-        k_uni = int(math.floor(1.0 / (kappa * h))) + 1
-        i = 1
-        while i <= k_uni and i * kappa * h * spec.eps < 1.0:
-            pts.append(i * kappa * h * spec.eps)
-            i += 1
-        x = pts[-1] * ratio if len(pts) > 1 else x
+    x = h * spec.eps
     while x < 1.0:
         pts.append(x)
         x *= ratio
@@ -451,10 +359,7 @@ def duran_lombardi(
         pts[-1] = 1.0  # merge the sliver
     else:
         pts.append(1.0)
-    label = (
-        f"duran_lombardi(eps={spec.eps:g},h={h:g},kappa={kappa:g},"
-        f"uniform_phase={initial_uniform},side={spec.side})"
-    )
+    label = f"duran_lombardi(eps={spec.eps:g},n={n},side={spec.side})"
     return _oriented(pts, spec.side, label, {"ratio": ratio})
 
 
@@ -577,9 +482,10 @@ def equidistribute(
 
 
 def system_shishkin(layers: tuple[LayerSpec, ...] | list[LayerSpec], n: int) -> Mesh1D:
-    """Nested piecewise-uniform mesh for systems with several layer widths.
+    """Piecewise-uniform Shishkin mesh for one or several layer widths.
 
-    Transition points descend from tau_{m+1} = 1 (or 1/2 for side='both')
+    With one layer it is the classical Shishkin mesh: n/2 cells on
+    [0, min(1/2, width_scale*ln(n))] and n/2 beyond.  Transition points descend from tau_{m+1} = 1 (or 1/2 for side='both')
     via tau_k = min(k*tau_{k+1}/(k+1), sigma*eps_k*ln(n)/beta) for the
     ascending eps_k, with sigma the layers' common mu and beta their
     smallest gamma; every band [tau_k, tau_{k+1}] carries the same cell
@@ -620,10 +526,7 @@ def system_shishkin(layers: tuple[LayerSpec, ...] | list[LayerSpec], n: int) -> 
     left = np.concatenate(half)
     pts = np.concatenate([left, (1.0 - left[::-1])[1:]]) if both_sides else left
     pts[-1] = 1.0
-    label = (
-        f"system_shishkin(m={m},n={n},sigma={sigma:g},beta={beta:g},"
-        f"mirrored={both_sides})"
-    )
+    label = f"system_shishkin(m={m},n={n},sigma={sigma:g},beta={beta:g},side={side})"
     return _oriented(pts, side, label, {"taus": tuple(float(t) for t in tau)})
 
 
@@ -648,33 +551,17 @@ def mirror(mesh: Mesh1D) -> Mesh1D:
     return Mesh1D(points=pts, label=f"mirror({mesh.label})", meta=meta)
 
 
-def diagnostics(
-    mesh: Mesh1D,
-    g: Callable[[float], float] | None = None,
-    rtol: float = 1e-10,
-) -> MeshDiagnostics:
-    """Spacing statistics and, optionally, the quality functional
-    max over cells of the integral of g (adaptive quadrature per cell)."""
+def diagnostics(mesh: Mesh1D) -> MeshDiagnostics:
+    """Spacing statistics: cell count, smallest and largest width, and the
+    worst adjacent-cell ratio."""
     h = mesh.spacings
     if len(h) >= 2:
         ratio = float(max(np.max(h[1:] / h[:-1]), np.max(h[:-1] / h[1:])))
     else:
         ratio = 1.0
-    q = None
-    warnings: list[str] = []
-    if g is not None:
-        worst = 0.0
-        for i in range(mesh.n_cells):
-            val, ok = adaptive_cell_integral(g, float(mesh.points[i]), float(mesh.points[i + 1]), rtol=rtol)
-            if not ok:
-                warnings.append(f"cell {i}: quadrature did not converge")
-            worst = max(worst, val)
-        q = worst
     return MeshDiagnostics(
         n_cells=mesh.n_cells,
         min_h=float(np.min(h)),
         max_h=float(np.max(h)),
         ratio=ratio,
-        q=q,
-        q_warnings=tuple(warnings),
     )

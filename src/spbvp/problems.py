@@ -40,6 +40,8 @@ __all__ = [
     "builtin_strongly_coupled_variable",
     "builtin_reaction_diffusion_system",
     "builtin_weakly_coupled_cd",
+    "oracle_reference",
+    "problem_from_dict",
 ]
 
 KINDS = ("weakly-coupled-cd", "strongly-coupled-cd", "reaction-diffusion")

@@ -24,15 +24,12 @@ from spbvp.meshes import (
     LayerSpec,
     bakhvalov_original,
     bakhvalov_shishkin,
-    bakhvalov_shishkin_charfn,
     bakhvalov_type,
     diagnostics,
     duran_lombardi,
     equidistribute,
     gartland,
     lambert_mesh,
-    shishkin,
-    shishkin_type,
     system_shishkin,
     uniform_mesh,
 )
@@ -208,16 +205,12 @@ def test_comparison_matrix_verdicts_and_symmetric_definiteness():
 
 def _mesh_zoo(eps: float, n: int):
     spec = LayerSpec(eps=eps)
-    h = 1.0 / n
     yield "uniform", uniform_mesh(n)
-    yield "shishkin", shishkin(spec, n)
-    yield "shishkin-type", shishkin_type(spec, n, bakhvalov_shishkin_charfn(n))
     yield "bakhvalov-shishkin", bakhvalov_shishkin(spec, n)
     yield "bakhvalov-type", bakhvalov_type(spec, n)
     yield "bakhvalov-original", bakhvalov_original(spec, n)
-    yield "gartland", gartland(spec, h)
-    yield "gartland-type", gartland(spec, h, variant="gartland-type")
-    yield "duran-lombardi", duran_lombardi(spec, h)
+    yield "gartland", gartland(spec, n)
+    yield "duran-lombardi", duran_lombardi(spec, n)
     yield "lambert", lambert_mesh(spec, n)
     yield "equidistributed", equidistribute(lambda s: np.ones_like(s), n)
     yield "system-shishkin", system_shishkin([LayerSpec(eps)], n)
@@ -237,7 +230,7 @@ def test_mesh_invariants_across_eps_and_resolution():
                 assert np.all(np.diff(mesh.points) > 0.0), where
 
             # capped recursive grading keeps adjacent ratios within e
-            ratio = diagnostics(gartland(LayerSpec(eps=eps), 1.0 / n)).ratio
+            ratio = diagnostics(gartland(LayerSpec(eps=eps), n)).ratio
             assert ratio <= math.e + 1e-12, f"gartland eps={eps:g} n={n}"
 
             # uniform monitor equidistributes to the stated residual
@@ -245,26 +238,15 @@ def test_mesh_invariants_across_eps_and_resolution():
             assert m.meta["residual"] <= 1e-8
 
     for n in N_GRID:
-        h = 1.0 / n
-        # uncapped recursive cell count is governed by h alone; across the
-        # layer regime the only drift is where the fine-to-coarse handoff
-        # lands, worth a couple of cells (measured: 1 at h=1/8, 3 at h=1/512)
-        counts = {
-            eps: gartland(LayerSpec(eps=eps), h, variant="gartland-type").n_cells
-            for eps in (1e-4, 1e-10)
-        }
-        drift = abs(counts[1e-4] - counts[1e-10])
-        assert drift <= max(2, counts[1e-4] // 100), counts
-
         for eps in (1e-4, 1e-10):
-            # geometric-growth count scales like (1/h) log(1/eps)
-            got = duran_lombardi(LayerSpec(eps=eps), h).n_cells
+            # geometric-growth count scales like n log(1/eps)
+            got = duran_lombardi(LayerSpec(eps=eps), n).n_cells
             scale = n * math.log(1.0 / eps)
             assert 0.5 * scale <= got <= 2.0 * scale, (eps, n, got, scale)
 
             # graded nodes invert the layer function exactly
             spec = LayerSpec(eps=eps)
-            mesh = bakhvalov_original(spec, n, q=0.5)
+            mesh = bakhvalov_original(spec, n)
             t = np.arange(n + 1) / n
             fine = t <= mesh.meta["tau"]
             lhs = 0.5 * -np.expm1(-mesh.points[fine] / spec.width_scale)

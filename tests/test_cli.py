@@ -60,28 +60,30 @@ def test_mesh_h_driven_families(capsys):
     # the step-driven families take their coarse step from --n: h = 1/n
     code, out, _ = _run(capsys, "mesh", "--family", "gartland", "--eps", "1e-4",
                         "--n", "5")
-    assert code == 0 and "h=0.2," in out and "# ratio" in out
+    assert code == 0 and "n=5," in out and "# ratio" in out
     code, out, _ = _run(capsys, "mesh", "--family", "duran-lombardi",
                         "--eps", "1e-4", "--n", "64")
-    assert code == 0 and "h=0.015625,kappa=1," in out
+    assert code == 0 and "duran_lombardi(eps=0.0001,n=64," in out
     for flag in ("--kappa", "--q"):
         code, _, err = _run(capsys, "mesh", "--family", "gartland", flag, "0.2")
         assert code == 3 and "unrecognized arguments" in err
-    # "--h" is an abbreviation of --help
-    code, out, _ = _run(capsys, "mesh", "--family", "gartland", "--h", "0.2")
-    assert code == 0 and "i,x_i,h_i" not in out
+    # n is the flag the user passed, so the error names n, not a step h
+    for family, who in (("gartland", "gartland"), ("duran-lombardi", "duran_lombardi")):
+        code, out, err = _run(capsys, "mesh", "--family", family, "--n", "1")
+        assert code == 3 and out == ""
+        assert f"{who} needs n >= 2 (coarse step 1/n), got n=1" in err
 
 
 # every mesh tag and the meshes function it builds; scalar families take the
-# one layer, gartland and duran-lombardi a coarse step 1/n
+# one layer, shishkin as a one-layer system_shishkin
 _MESH_BUILDERS = {
     "uniform": lambda layers, n: meshes.uniform_mesh(n),
-    "shishkin": lambda layers, n: meshes.shishkin(layers[0], n),
+    "shishkin": lambda layers, n: meshes.system_shishkin(layers[:1], n),
     "bakhvalov-shishkin": lambda layers, n: meshes.bakhvalov_shishkin(layers[0], n),
     "bakhvalov-type": lambda layers, n: meshes.bakhvalov_type(layers[0], n),
-    "bakhvalov": lambda layers, n: meshes.bakhvalov_original(layers[0], n, q=0.5),
-    "gartland": lambda layers, n: meshes.gartland(layers[0], 1.0 / n),
-    "duran-lombardi": lambda layers, n: meshes.duran_lombardi(layers[0], 1.0 / n, kappa=1.0),
+    "bakhvalov": lambda layers, n: meshes.bakhvalov_original(layers[0], n),
+    "gartland": lambda layers, n: meshes.gartland(layers[0], n),
+    "duran-lombardi": lambda layers, n: meshes.duran_lombardi(layers[0], n),
     "lambert": lambda layers, n: meshes.lambert_mesh(layers[0], n),
     "system-shishkin": lambda layers, n: meshes.system_shishkin(layers, n),
 }
@@ -387,7 +389,10 @@ def test_solve_malformed_problem_json_is_config_error(spec, message, tmp_path, c
     ({"N_list": [[64]]}, "N_list and eps_list must hold numbers"),
     ({"eps_list": [None]}, "N_list and eps_list must hold numbers"),
     ({"output": 5}, "output must be a file name, got 5"),
-], ids=["nested-N", "null-eps", "numeric-output"])
+    # a non-integral N must not truncate to N = 16 or read true as N = 1
+    ({"N_list": [16.7, 32.9]}, "N values must be integers, got 16.7"),
+    ({"N_list": [True, 8]}, "N values must be integers, got True"),
+], ids=["nested-N", "null-eps", "numeric-output", "fractional-N", "bool-N"])
 def test_study_malformed_config_values_exit_3(extra, message, tmp_path, capsys):
     cfg = {"problem": "scalar-cd", "scheme": "simple-upwind", "mesh": "shishkin",
            "N_list": [16], "eps_list": [1e-3], **extra}
@@ -483,3 +488,8 @@ def test_usage_errors_exit_3(capsys):
     assert code == 3
     code, out, _ = _run(capsys, "--help")
     assert code == 0 and "usage: spbvp" in out
+    # no prefix matching: --he is not --help, --sch not --scheme, --h not --help
+    for argv in (("--he", "study", "--list"), ("solve", "--sch", "central"),
+                 ("mesh", "--h", "0.2")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 3 and out == "" and "unrecognized arguments" in err, argv

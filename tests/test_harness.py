@@ -29,7 +29,7 @@ from spbvp.harness import (
     study_from_dict,
     sweep,
 )
-from spbvp.meshes import LayerSpec, shishkin, system_shishkin
+from spbvp.meshes import LayerSpec, mirror, system_shishkin
 from spbvp.problems import (
     ReferenceSolution,
     SystemProblem,
@@ -579,6 +579,25 @@ def test_study_from_dict_rejects_malformed_keys_and_values():
         study_from_dict({**_INLINE, "N_list": "369"})
 
 
+def test_n_values_must_be_integers():
+    # one validator for configs, sweeps, reports and records: no silent int(n)
+    for bad in (16.7, True, np.bool_(True), "16", math.inf):
+        with pytest.raises(ValueError, match="N values must be integers"):
+            StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
+                        n_list=(bad, 64), eps_list=((1e-3,),))
+        with pytest.raises(ValueError, match="N values must be integers"):
+            sweep(problem_family("scalar-cd"), mesh_family("shishkin"), "simple-upwind",
+                  [bad, 64], [1e-3])
+        with pytest.raises(ValueError, match="N values must be integers"):
+            ConvergenceReport(family="f", scheme="central", n_list=(bad,),
+                              eps_list=((1e-3,),), records=())
+        with pytest.raises(ValueError, match="N values must be integers"):
+            ErrorRecord(family="f", scheme="central", n=bad, eps=(1e-3,), err_max=0.1)
+    cfg = StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
+                      n_list=(16.0, np.int64(32)), eps_list=((1e-3,),))
+    assert cfg.n_list == (16, 32) and all(type(n) is int for n in cfg.n_list)
+
+
 def test_single_eps_problem_families_reject_eps_vectors():
     for name in (
         "scalar-cd",
@@ -619,7 +638,7 @@ def test_system_shishkin_mirrors_right_side_layers():
     problem, _ = builtin_scalar_cd(1e-4)
     for n in (64, 1024):
         mesh = mesh_family("system-shishkin")(problem, n)
-        assert np.array_equal(mesh.points, mesh_family("shishkin")(problem, n).points)
+        assert np.array_equal(mesh.points, mirror(system_shishkin([LayerSpec(1e-4)], n)).points)
         assert mesh.spacings[-1] < mesh.spacings[0]  # fine cells at x = 1
 
 
@@ -650,7 +669,7 @@ def test_scalar_families_refine_both_ends_for_reaction_diffusion():
     kappa = default_envelope(problem)[0].gamma
     spec = LayerSpec(1e-4, gamma=kappa, side="both")
     mesh = mesh_family("shishkin")(problem, 64)
-    assert np.array_equal(mesh.points, shishkin(spec, 64).points)
+    assert np.array_equal(mesh.points, system_shishkin([spec], 64).points)
     with pytest.raises(ValueError, match="need a scalar problem, got m=2"):
         mesh_family("shishkin")(builtin_strongly_coupled_example(1e-4)[0], 64)
 

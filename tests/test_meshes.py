@@ -15,21 +15,15 @@ from hypothesis import given, settings, strategies as st
 from spbvp.meshes import (
     LayerSpec,
     Mesh1D,
-    MeshCharFn,
     bakhvalov_original,
     bakhvalov_shishkin,
-    bakhvalov_shishkin_charfn,
     bakhvalov_type,
-    charfn_from_callable,
     diagnostics,
     duran_lombardi,
     equidistribute,
     gartland,
     lambert_mesh,
     mirror,
-    shishkin,
-    shishkin_charfn,
-    shishkin_type,
     system_shishkin,
     uniform_mesh,
 )
@@ -45,6 +39,22 @@ LAMBERT_X1 = 6.348429023799157e-06
 SYS_TAUS = (0.0, 9.128696382935673e-06, 9.128696382935673e-03, 1.0)
 
 EPS_SWEEP = (1.0, 1e-4, 1e-10)
+
+
+def shishkin(spec, n):
+    """The piecewise-uniform Shishkin mesh of one layer."""
+    return system_shishkin([spec], n)
+
+
+def _two_zone(eps, n):
+    """Independent replay of the left-layer Shishkin mesh with mu = 2,
+    gamma = 1: n/2 cells up to sigma = min(1/2, 2*eps*ln(n)), n/2 beyond."""
+    sigma = min(0.5, 2.0 * eps * math.log(n))
+    pts = np.concatenate(
+        [np.linspace(0.0, sigma, n // 2 + 1), np.linspace(sigma, 1.0, n // 2 + 1)[1:]]
+    )
+    pts[-1] = 1.0
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +102,7 @@ def test_layer_spec_validation():
 
 def test_shishkin_frozen_values():
     m = shishkin(LayerSpec(eps=1e-4), 64)
-    assert m.meta["sigma"] == pytest.approx(SHISHKIN_SIGMA, rel=1e-14)
+    assert m.meta["taus"][1] == pytest.approx(SHISHKIN_SIGMA, rel=1e-14)
     h = m.spacings
     assert h[0] == pytest.approx(SHISHKIN_H_FINE, rel=1e-14)
     assert h[-1] == pytest.approx(SHISHKIN_H_COARSE, rel=1e-14)
@@ -102,7 +112,7 @@ def test_shishkin_frozen_values():
 
 def test_shishkin_transition_clamps_to_half():
     m = shishkin(LayerSpec(eps=0.5), 8)
-    assert m.meta["sigma"] == 0.5
+    assert m.meta["taus"][1] == 0.5
     assert np.allclose(m.points, np.linspace(0.0, 1.0, 9), atol=1e-15)
 
 
@@ -123,34 +133,6 @@ def test_shishkin_both_sides_symmetric():
 def test_shishkin_rejects_odd_n():
     with pytest.raises(ValueError):
         shishkin(LayerSpec(eps=1e-4), 63)
-
-
-def test_charfn_endpoints_and_constants():
-    cf = shishkin_charfn(64)
-    assert float(cf.lam(np.array([0.0]))[0]) == 0.0
-    assert float(cf.lam(np.array([0.5]))[0]) == pytest.approx(math.log(64), rel=1e-15)
-    assert cf.max_psi_prime == pytest.approx(2.0 * math.log(64), rel=1e-15)
-    assert float(cf.psi(np.array([0.5]))[0]) == pytest.approx(1.0 / 64, rel=1e-12)
-    bs = bakhvalov_shishkin_charfn(64)
-    assert bs.max_psi_prime == pytest.approx(2.0 * (1.0 - 1.0 / 64), rel=1e-15)
-
-
-def test_generic_two_zone_with_linear_lambda_matches_shishkin():
-    spec = LayerSpec(eps=1e-4)
-    direct = shishkin(spec, 64)
-    generic = shishkin_type(spec, 64, shishkin_charfn(64))
-    assert np.max(np.abs(direct.points - generic.points)) <= 1e-14
-
-
-def test_two_zone_rejects_lambda_with_wrong_range():
-    bad = MeshCharFn(lam=lambda t: 2.0 * np.asarray(t) * math.log(64) + 0.1, max_psi_prime=1.0)
-    with pytest.raises(ValueError):
-        shishkin_type(LayerSpec(eps=1e-4), 64, bad)
-
-
-def test_charfn_numeric_slope_estimate():
-    cf = charfn_from_callable(lambda t: 2.0 * np.asarray(t) * math.log(64), label="lin")
-    assert cf.max_psi_prime == pytest.approx(2.0 * math.log(64), rel=2e-2)
 
 
 def test_bakhvalov_shishkin_frozen_first_point():
@@ -212,7 +194,7 @@ def test_tangent_matched_mesh_frozen_tau():
 def test_tangent_matched_inversion_identity():
     # fine nodes x_i satisfy q*(1 - exp(-x_i/a)) = t_i to 1e-12
     spec = LayerSpec(eps=1e-4)
-    m = bakhvalov_original(spec, 64, q=0.5)
+    m = bakhvalov_original(spec, 64)
     a, q = spec.width_scale, 0.5
     t = np.arange(65) / 64
     tau = m.meta["tau"]
@@ -246,92 +228,69 @@ def test_tangent_matched_small_eps_residual():
 
 
 def test_recursive_mesh_uniform_when_layer_is_wide():
-    m = gartland(LayerSpec(eps=1.0), 1.0 / 64)
+    m = gartland(LayerSpec(eps=1.0), 64)
     assert m.n_cells == 64
     assert np.allclose(m.spacings, 1.0 / 64, rtol=1e-12)
 
 
 def test_recursive_mesh_first_cell():
-    m = gartland(LayerSpec(eps=1e-4), 1.0 / 64)
+    m = gartland(LayerSpec(eps=1e-4), 64)
     assert m.points[1] == pytest.approx(1e-4 / 64, rel=1e-14)
 
 
 def test_recursive_capped_mesh_ratio_bound():
     for eps in EPS_SWEEP:
-        for h in (1.0 / 8, 1.0 / 64, 1.0 / 512):
-            m = gartland(LayerSpec(eps=eps), h)
+        for n in (8, 64, 512):
+            m = gartland(LayerSpec(eps=eps), n)
             assert diagnostics(m).ratio <= math.e + 1e-12
 
 
 def test_recursive_growth_cap_cellwise():
-    m = gartland(LayerSpec(eps=1e-8), 1.0 / 64)
+    m = gartland(LayerSpec(eps=1e-8), 64)
     h = m.spacings
     assert np.all(h[1:] <= math.e * h[:-1] * (1.0 + 1e-12))
 
 
-def test_uncapped_variant_count_independent_of_eps():
-    counts = {
-        eps: gartland(LayerSpec(eps=eps), 1.0 / 64, variant="gartland-type").n_cells
-        for eps in (1e-4, 1e-8)
-    }
-    assert counts[1e-4] == counts[1e-8] == 196
-
-
-def test_uncapped_variant_count_bounded():
-    for eps in EPS_SWEEP:
-        for inv_h in (8, 64, 512):
-            m = gartland(LayerSpec(eps=eps), 1.0 / inv_h, variant="gartland-type")
-            assert m.n_cells <= 4 * inv_h
-
-
 def test_recursive_mesh_rejects_bad_step():
-    with pytest.raises(ValueError):
-        gartland(LayerSpec(eps=1e-4), 1.0)
-    with pytest.raises(ValueError):
-        gartland(LayerSpec(eps=1e-4), 0.5, variant="nope")
+    with pytest.raises(ValueError, match=r"gartland needs n >= 2 \(coarse step 1/n\), got n=1"):
+        gartland(LayerSpec(eps=1e-4), 1)
 
 
 def test_geometric_mesh_first_point_and_ratio():
     spec = LayerSpec(eps=1e-6)
-    m = duran_lombardi(spec, 1.0 / 32)
+    m = duran_lombardi(spec, 32)
     assert m.points[1] == pytest.approx(1e-6 / 32, rel=1e-14)
     h = m.spacings
-    # width ratio settles to 1+kappa*h from the second cell on (the first
-    # ratio is h1/h0 = kappa*h); the merged terminal cell is excluded
+    # width ratio settles to 1+h from the second cell on (the first ratio
+    # is h1/h0 = h); the merged terminal cell is excluded
     inner = h[2:-1] / h[1:-2]
     assert np.allclose(inner, 1.0 + 1.0 / 32, rtol=1e-12)
 
 
 def test_geometric_mesh_count_tracks_layer_strength():
-    got = duran_lombardi(LayerSpec(eps=1e-6), 1.0 / 32).n_cells
+    got = duran_lombardi(LayerSpec(eps=1e-6), 32).n_cells
     bound = 32 * math.log(1e6)
     assert 0.5 * bound <= got <= 2.0 * bound
 
 
 def test_geometric_mesh_matches_independent_recursion_replay():
-    eps, h, kappa = 1e-5, 1.0 / 16, 1.0
+    eps, h = 1e-5, 1.0 / 16
     pts = [0.0]
-    x = kappa * h * eps
+    x = h * eps
     while x < 1.0:
         pts.append(x)
-        x *= 1.0 + kappa * h
+        x *= 1.0 + h
     if 1.0 - pts[-1] < 0.5 * (pts[-1] - pts[-2]):
         pts[-1] = 1.0
     else:
         pts.append(1.0)
-    m = duran_lombardi(LayerSpec(eps=eps), h, kappa=kappa)
+    m = duran_lombardi(LayerSpec(eps=eps), 16)
     assert np.array_equal(m.points, np.array(pts))
 
 
-def test_geometric_mesh_uniform_phase_variant_at_eps_one():
-    m = duran_lombardi(LayerSpec(eps=1.0), 1.0 / 64, initial_uniform=True)
-    assert abs(m.n_cells - 64) <= 2
-    assert np.allclose(m.spacings, 1.0 / m.n_cells, rtol=1e-10)
-
-
 def test_geometric_mesh_rejects_coarse_step():
-    with pytest.raises(ValueError):
-        duran_lombardi(LayerSpec(eps=1e-4), 1.0, kappa=2.0)
+    with pytest.raises(ValueError, match=r"duran_lombardi needs n >= 2 \(coarse step 1/n\), got n=1"):
+        duran_lombardi(LayerSpec(eps=1e-4), 1)
 
 
 def test_implicit_mesh_frozen_first_point():
@@ -428,8 +387,7 @@ def test_multiscale_frozen_transition_points():
 
 def test_multiscale_single_scale_equals_two_zone():
     a = system_shishkin([LayerSpec(eps=1e-4, gamma=1.0, mu=2.0)], 64)
-    b = shishkin(LayerSpec(eps=1e-4, gamma=1.0, mu=2.0), 64)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.points, _two_zone(1e-4, 64))
 
 
 def test_multiscale_wide_layers_give_uniform():
@@ -459,7 +417,9 @@ def test_multiscale_right_side_layer_equals_shishkin():
         for eps in (1e-2, 1e-4, 1e-8):
             spec = LayerSpec(eps, side="right")
             m = system_shishkin([spec], n)
-            assert np.array_equal(m.points, shishkin(spec, n).points)
+            want = 1.0 - _two_zone(eps, n)[::-1]
+            want[0], want[-1] = 0.0, 1.0
+            assert np.array_equal(m.points, want)
             assert m.spacings[-1] <= m.spacings[0]  # fine cells at x = 1
 
 
@@ -502,10 +462,9 @@ def test_mirror_moves_fine_zone():
 
 
 def test_diagnostics_uniform_quality():
-    d = diagnostics(uniform_mesh(16), g=lambda x: 1.0)
+    d = diagnostics(uniform_mesh(16))
     assert d.ratio == 1.0
-    assert d.q == pytest.approx(1.0 / 16, rel=1e-12)
-    assert d.q_warnings == ()
+    assert d.n_cells == 16
     assert d.min_h == d.max_h == pytest.approx(1.0 / 16, rel=1e-15)
 
 
@@ -516,14 +475,15 @@ def test_diagnostics_two_zone_ratio_is_large():
 
 
 def test_quality_functional_layer_envelope_scaling():
-    # max_k int(1 + |u'|) on a fitted right-layer mesh stays ~ ln(n)/n
+    # max_k int(1 + |u'|) on a fitted right-layer mesh stays ~ ln(n)/n; with
+    # g = 1 + exp(-(1-x)/eps)/eps the integral over cell i is exactly
+    # h_i + exp(-(1-x_i)/eps) - exp(-(1-x_{i-1})/eps)
     for eps in (1e-2, 1e-6, 1e-10):
         for n in (64, 256):
             m = shishkin(LayerSpec(eps=eps, side="right"), n)
-            g = lambda x, e=eps: 1.0 + math.exp(-(1.0 - x) / e) / e
-            d = diagnostics(m, g=g)
-            assert d.q_warnings == ()
-            assert d.q <= 5.0 * math.log(n) / n
+            decay = np.exp(-(1.0 - m.points) / eps)
+            q = float(np.max(m.spacings + np.diff(decay)))
+            assert q <= 5.0 * math.log(n) / n
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +491,13 @@ def test_quality_functional_layer_envelope_scaling():
 # ---------------------------------------------------------------------------
 
 FAMILIES = [
-    lambda spec, n: shishkin(spec, n),
-    lambda spec, n: bakhvalov_shishkin(spec, n),
-    lambda spec, n: bakhvalov_type(spec, n),
-    lambda spec, n: bakhvalov_original(spec, n),
-    lambda spec, n: gartland(spec, 1.0 / n),
-    lambda spec, n: gartland(spec, 1.0 / n, variant="gartland-type"),
-    lambda spec, n: duran_lombardi(spec, 1.0 / n),
-    lambda spec, n: lambert_mesh(spec, n),
+    shishkin,
+    bakhvalov_shishkin,
+    bakhvalov_type,
+    bakhvalov_original,
+    gartland,
+    duran_lombardi,
+    lambert_mesh,
 ]
 
 

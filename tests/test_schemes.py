@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from spbvp import schemes
 from spbvp.harness import mesh_family, problem_family, sweep
 from spbvp.linalg import block_thomas
-from spbvp.meshes import LayerSpec, shishkin, system_shishkin, uniform_mesh
+from spbvp.meshes import LayerSpec, system_shishkin, uniform_mesh
 from spbvp.problems import (
     Coefficient,
     ReferenceSolution,
@@ -251,7 +251,7 @@ def test_ias_scalar_equals_sigma_scaled_central_plus_centered_convection():
 def test_ias_rejects_nonuniform_multiparameter_asymmetric_and_diffusion():
     spec = LayerSpec(eps=1e-3, gamma=1.0, mu=2.0, side="left")
     with pytest.raises(ValueError, match="uniform mesh"):
-        assemble(_scalar_cd(eps=1e-3), shishkin(spec, 8), "ias")
+        assemble(_scalar_cd(eps=1e-3), system_shishkin([spec], 8), "ias")
     multi = SystemProblem(
         m=2,
         eps=(1e-6, 1e-3),
@@ -361,7 +361,7 @@ def test_solve_refines_fem_rows_with_vanishing_reaction():
     # iterative refinement must absorb that without tripping the guard
     problem, ref = builtin_scalar_cd(1e-10)
     spec = LayerSpec(eps=1e-10, gamma=1.0, mu=2.0, side="right")
-    sol = discrete_solve(problem, shishkin(spec, 64), "galerkin-fem")
+    sol = discrete_solve(problem, system_shishkin([spec], 64), "galerkin-fem")
     assert sol.residual <= 1e-10 * (1.0 + 1.0)
     assert float(np.max(np.abs(sol.values - ref(sol.mesh.points)))) < 5e-2
 
@@ -371,7 +371,7 @@ def test_solve_forward_error_against_long_double_refinement():
     # of 3e-16; the refinement pass inside block_thomas brings it to ~2e-11
     problem, _ = builtin_scalar_cd(1e-6)
     spec = LayerSpec(eps=1e-6, gamma=1.0, mu=2.0, side="right")
-    op = assemble(problem, shishkin(spec, 2**16), "simple-upwind")
+    op = assemble(problem, system_shishkin([spec], 2**16), "simple-upwind")
     got = solve(op).values
     mat = op.matrix
     sub, diag, sup = (a.astype(np.longdouble) for a in (mat.sub, mat.diag, mat.sup))
@@ -401,7 +401,7 @@ def test_solve_factors_each_system_once(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     problem, _ = builtin_scalar_cd(1e-6)
     spec = LayerSpec(eps=1e-6, gamma=1.0, mu=2.0, side="right")
-    solve(assemble(problem, shishkin(spec, 1024), "simple-upwind"))
+    solve(assemble(problem, system_shishkin([spec], 1024), "simple-upwind"))
     assert calls == [1025]
     calls.clear()
     problem, _ = builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-4))
