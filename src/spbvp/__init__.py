@@ -38,7 +38,6 @@ from .meshes import (
 from .problems import (
     Coefficient,
     ReferenceSolution,
-    StabilityReport,
     SystemProblem,
     builtin_reaction_diffusion_system,
     builtin_scalar_cd,

@@ -21,12 +21,7 @@ from .harness import (
     study_from_dict,
 )
 from .meshes import LayerSpec, diagnostics
-from .problems import (
-    SystemProblem,
-    problem_from_dict,
-    report_to_dict,
-    stability_report,
-)
+from .problems import SystemProblem, problem_from_dict, stability_report
 from .schemes import SCHEME_TAGS, discrete_solve
 
 
@@ -109,9 +104,7 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     problem = _load_problem(args)
     report = stability_report(problem)
-    _write(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", args.out
-    )
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

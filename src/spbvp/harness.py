@@ -24,7 +24,6 @@ from .meshes import (
     bakhvalov_original,
     bakhvalov_shishkin,
     bakhvalov_type,
-    diagnostics,
     duran_lombardi,
     gartland,
     lambert_mesh,
@@ -218,7 +217,7 @@ class ConvergenceReport:
                 )
 
     def record(self, n: int, eps) -> ErrorRecord:
-        i = self.n_list.index(int(n))
+        i = self.n_list.index(_n_key(n))
         j = self.eps_list.index(_eps_key(eps))
         return self.records[i * len(self.eps_list) + j]
 
@@ -384,7 +383,7 @@ def sweep(
                 err_max=max_norm_error(sol, ref),
                 err_energy=(energy_norm_error(mesh, sol.values, ref, problem.diffusion)
                             if norm == "energy" else None),
-                q=diagnostics(mesh).max_h,
+                q=float(mesh.spacings.max()),
             )
         except Exception as exc:  # recorded per cell, not fatal
             return ErrorRecord(
@@ -537,23 +536,18 @@ def _strongly_coupled_oracle(*eps: float) -> tuple[SystemProblem, ReferenceSolut
     return problem, ref
 
 
-def _per_component(eps: tuple[float, ...]) -> tuple:
-    return (len(eps), eps) if eps else ()
-
-
 # Builtin problems by name: (eps values taken, constructor).  The count is 1,
-# or None for one value per component.  A constructor takes the eps values as
-# arguments, or none for its builtin's default.  The lambdas look their
-# builders up per call, so rebinding a module name (monkeypatching, tracing)
-# takes effect.
+# or None for one value per component.  A constructor takes its one eps value,
+# or the eps tuple when the count is None, or nothing for its builtin's
+# default.  The lambdas look their builders up per call, so rebinding a module
+# name (monkeypatching, tracing) takes effect.
 PROBLEMS: dict[str, tuple[int | None, Callable[..., tuple[SystemProblem, ReferenceSolution]]]] = {
     "scalar-cd": (1, lambda *eps: builtin_scalar_cd(*eps)),
     "strongly-coupled-2x2": (1, lambda *eps: builtin_strongly_coupled_example(*eps)),
     "strongly-coupled-2x2-oracle": (1, lambda *eps: _strongly_coupled_oracle(*eps)),
     "strongly-coupled-variable": (1, lambda *eps: builtin_strongly_coupled_variable(*eps)),
-    "reaction-diffusion": (
-        None, lambda *eps: builtin_reaction_diffusion_system(*_per_component(eps))),
-    "weakly-coupled-cd": (None, lambda *eps: builtin_weakly_coupled_cd(*_per_component(eps))),
+    "reaction-diffusion": (None, lambda *args: builtin_reaction_diffusion_system(*args)),
+    "weakly-coupled-cd": (None, lambda *args: builtin_weakly_coupled_cd(*args)),
 }
 
 
@@ -572,7 +566,9 @@ def problem_family(
         if eps is None:
             return build()
         eps = _eps_key(eps)
-        if takes is not None and len(eps) != takes:
+        if takes is None:
+            return build(eps)
+        if len(eps) != takes:
             raise ValueError(
                 f"problem {name!r} takes {takes} eps value, got {len(eps)}: {eps}"
             )

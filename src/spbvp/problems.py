@@ -5,17 +5,23 @@ A SystemProblem bundles the data of
     -diag(d_1..d_M) u'' + B(x) u' + A(x) u = f(x),  u(0)=g0, u(1)=g1
 
 where d_i = eps_i for the convection-diffusion kinds and d_i = eps_i**2 for
-reaction-diffusion.  Alongside the containers live the algebraic stability
-pre-checks (inverse-monotonicity of comparison matrices built from coefficient
-norms), the layer data of each problem (``default_envelope``, one
-``LayerSpec`` per component) with fitted-constant checks, and the built-in
-reference problems used by the convergence harness.
+reaction-diffusion.  Alongside the containers live
+
+- the algebraic stability pre-checks (inverse-monotonicity of comparison
+  matrices built from coefficient norms), which return JSON-ready dicts;
+- the layer data of each problem (``default_envelope``, one ``LayerSpec``
+  per component) with fitted-constant checks;
+- the built-in reference problems used by the convergence harness.  The two
+  coupled systems take one eps value per component (m = len(eps)) and are
+  measured against a lazily solved fine-mesh oracle;
+- ``problem_from_dict``, the reader of constant-coefficient problem files.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -26,13 +32,11 @@ from .meshes import LayerSpec, system_shishkin
 __all__ = [
     "Coefficient",
     "SystemProblem",
-    "StabilityReport",
     "ReferenceSolution",
     "coefficient",
     "check_gamma",
     "check_upsilon",
     "stability_report",
-    "report_to_dict",
     "default_envelope",
     "envelope_check",
     "builtin_scalar_cd",
@@ -170,29 +174,20 @@ class SystemProblem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Comparison-matrix verdicts; sections are None when not computed."""
-
-    gamma_matrix: np.ndarray | None = None
-    gamma_inverse_min: float | None = None
-    gamma_monotone: bool | None = None
-    zeta: float | None = None
-    diag_dominant: bool | None = None
-    kappa: float | None = None
-    upsilon_matrix: np.ndarray | None = None
-    upsilon_inverse_min: float | None = None
-    upsilon_row_sum_min: float | None = None
-    upsilon_monotone: bool | None = None
-    upsilon_heuristic: bool | None = None
-    notes: tuple[str, ...] = ()
-
-
 def _grid() -> np.ndarray:
     return np.linspace(0.0, 1.0, _SAMPLE_POINTS)
 
 
-def check_gamma(problem: SystemProblem) -> StabilityReport:
+def _inverse_min(matrix: np.ndarray, notes: list[str]) -> float:
+    """Smallest entry of the inverse; -inf, with a note, when it is singular."""
+    try:
+        return float(np.linalg.inv(matrix).min())
+    except np.linalg.LinAlgError:
+        notes.append("comparison matrix is singular")
+        return -math.inf
+
+
+def check_gamma(problem: SystemProblem) -> dict:
     """Inverse-monotonicity check of the reaction comparison matrix.
 
     The matrix has unit diagonal and off-diagonal entries
@@ -200,11 +195,12 @@ def check_gamma(problem: SystemProblem) -> StabilityReport:
     entrywise >= -1e-12.  Also reports the coupling strength zeta (row sums
     of |a_ij|/a_ii off the diagonal) and, for reaction-diffusion problems,
     the decay rate kappa with kappa^2 = (1-zeta)*min_i min_x a_ii.
+    Returns a JSON-ready dict (the matrix as a list of rows) with a list of
+    notes.
     """
     x = _grid()
     a_vals = problem.a(x)
-    m = problem.m
-    idx = np.arange(m)
+    idx = np.arange(problem.m)
     diag = a_vals[:, idx, idx]
     diag_min = diag.min(axis=0)
     if np.any(diag_min <= 0.0):
@@ -219,34 +215,24 @@ def check_gamma(problem: SystemProblem) -> StabilityReport:
     gamma = -sup
     gamma[idx, idx] = 1.0
     notes: list[str] = []
-    try:
-        inv = np.linalg.inv(gamma)
-        inv_min = float(inv.min())
-        monotone = inv_min >= -1e-12
-    except np.linalg.LinAlgError:
-        inv_min = -math.inf
-        monotone = False
-        notes.append("comparison matrix is singular")
+    inv_min = _inverse_min(gamma, notes)
     off = sup.copy()
     off[idx, idx] = 0.0
     zeta = float(off.sum(axis=1).max())
-    kappa = None
+    report = {
+        "gamma_matrix": gamma.tolist(),
+        "gamma_inverse_min": inv_min,
+        "gamma_monotone": inv_min >= -1e-12,
+        "zeta": zeta,
+        "diag_dominant": zeta < 1.0,
+        "notes": notes,
+    }
     if problem.kind == "reaction-diffusion":
-        kappa = math.sqrt(max(0.0, 1.0 - zeta) * float(diag_min.min()))
-    return StabilityReport(
-        gamma_matrix=gamma,
-        gamma_inverse_min=inv_min,
-        gamma_monotone=monotone,
-        zeta=zeta,
-        diag_dominant=zeta < 1.0,
-        kappa=kappa,
-        notes=tuple(notes),
-    )
+        report["kappa"] = math.sqrt(max(0.0, 1.0 - zeta) * float(diag_min.min()))
+    return report
 
 
-def check_upsilon(
-    problem: SystemProblem, c: np.ndarray | None = None
-) -> StabilityReport:
+def check_upsilon(problem: SystemProblem, c: np.ndarray | None = None) -> dict:
     """Comparison check for convection-coupled systems.
 
     Off-diagonal entries are -C_i*(L1 norm of b_ij' + a_ij plus sup norm of
@@ -254,6 +240,8 @@ def check_upsilon(
     the verdict is heuristic (valid when min|b_ii| >= 1) and flagged as such.
     The verdict requires positive row sums, which makes it imply strict
     diagonal dominance of the convection matrix under that normalization.
+    Returns a JSON-ready dict (the matrix as a list of rows) with a list of
+    notes.
     """
     if problem.kind != "strongly-coupled-cd":
         raise ValueError(f"upsilon check applies to strongly-coupled-cd, got {problem.kind}")
@@ -268,84 +256,44 @@ def check_upsilon(
         b_prime = np.zeros_like(b_vals)
     else:
         b_prime = np.gradient(b_vals, x, axis=0)
-    m = problem.m
-    idx = np.arange(m)
+    idx = np.arange(problem.m)
     l1 = np.trapezoid(np.abs(b_prime + a_vals), x, axis=0)
     sup_b = np.abs(b_vals).max(axis=0)
     upsilon = -cs[:, None] * (l1 + sup_b)
     upsilon[idx, idx] = 1.0
     notes: list[str] = []
-    try:
-        inv = np.linalg.inv(upsilon)
-        inv_min = float(inv.min())
-    except np.linalg.LinAlgError:
-        inv_min = -math.inf
-        notes.append("comparison matrix is singular")
+    inv_min = _inverse_min(upsilon, notes)
     row_min = float(upsilon.sum(axis=1).min())
-    monotone = inv_min >= -1e-12 and row_min > 0.0
     if heuristic:
         notes.append("constants defaulted to 1; verdict is heuristic")
-    return StabilityReport(
-        upsilon_matrix=upsilon,
-        upsilon_inverse_min=inv_min,
-        upsilon_row_sum_min=row_min,
-        upsilon_monotone=monotone,
-        upsilon_heuristic=heuristic,
-        notes=tuple(notes),
-    )
+    return {
+        "upsilon_matrix": upsilon.tolist(),
+        "upsilon_inverse_min": inv_min,
+        "upsilon_row_sum_min": row_min,
+        "upsilon_monotone": inv_min >= -1e-12 and row_min > 0.0,
+        "upsilon_heuristic": heuristic,
+        "notes": notes,
+    }
 
 
-def stability_report(
-    problem: SystemProblem, c: np.ndarray | None = None
-) -> StabilityReport:
-    """Run every check applicable to the problem kind.
+def stability_report(problem: SystemProblem, c: np.ndarray | None = None) -> dict:
+    """Run every check applicable to the problem kind and merge their dicts.
 
     A failed precondition (e.g. a reaction diagonal that is not positive,
     common for purely convective coupling) skips that section with a note
-    instead of raising.
+    instead of raising.  The merged dict carries "notes" only when a check
+    left one; it is what `spbvp check` prints.
     """
     try:
         report = check_gamma(problem)
     except ValueError as exc:
-        report = StabilityReport(notes=(f"reaction check skipped: {exc}",))
+        report = {"notes": [f"reaction check skipped: {exc}"]}
     if problem.kind == "strongly-coupled-cd":
         ups = check_upsilon(problem, c)
-        report = replace(
-            report,
-            upsilon_matrix=ups.upsilon_matrix,
-            upsilon_inverse_min=ups.upsilon_inverse_min,
-            upsilon_row_sum_min=ups.upsilon_row_sum_min,
-            upsilon_monotone=ups.upsilon_monotone,
-            upsilon_heuristic=ups.upsilon_heuristic,
-            notes=report.notes + ups.notes,
-        )
+        report = {**report, **ups, "notes": report["notes"] + ups["notes"]}
+    if not report["notes"]:
+        del report["notes"]
     return report
-
-
-def report_to_dict(report: StabilityReport) -> dict:
-    """JSON-ready view of a StabilityReport."""
-    out: dict = {}
-    for key in (
-        "gamma_inverse_min",
-        "gamma_monotone",
-        "zeta",
-        "diag_dominant",
-        "kappa",
-        "upsilon_inverse_min",
-        "upsilon_row_sum_min",
-        "upsilon_monotone",
-        "upsilon_heuristic",
-    ):
-        val = getattr(report, key)
-        if val is not None:
-            out[key] = val
-    for key in ("gamma_matrix", "upsilon_matrix"):
-        val = getattr(report, key)
-        if val is not None:
-            out[key] = [[float(v) for v in row] for row in val]
-    if report.notes:
-        out["notes"] = list(report.notes)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +344,12 @@ def _envelope(problem: SystemProblem) -> tuple[LayerSpec, ...]:
     x = np.linspace(0.0, 1.0, 257)
     if problem.kind == "reaction-diffusion":
         report = check_gamma(problem)
-        if not report.diag_dominant:
+        if not report["diag_dominant"]:
             raise ValueError(
-                f"reaction coupling is not diagonally dominant (zeta = {report.zeta:.6g} "
+                f"reaction coupling is not diagonally dominant (zeta = {report['zeta']:.6g} "
                 ">= 1), so the layers have no positive decay rate"
             )
-        return tuple(LayerSpec(e, gamma=report.kappa, side="both") for e in problem.eps)
+        return tuple(LayerSpec(e, gamma=report["kappa"], side="both") for e in problem.eps)
     b_vals = problem.b(x)
     if problem.kind == "weakly-coupled-cd":
         layers = []
@@ -689,12 +637,6 @@ def builtin_strongly_coupled_variable(
     return problem, ref
 
 
-def _default_coupling(m: int) -> tuple[Coefficient, Coefficient]:
-    a = np.full((m, m), -1.0 / (2.0 * m))
-    np.fill_diagonal(a, 2.0)
-    return coefficient(a, (m, m)), coefficient(np.ones(m), (m,))
-
-
 def _lazy_oracle(problem: SystemProblem, n_ref: int, scheme: str, mesh_factory):
     """Fine-mesh solve, materialized on first evaluation and cached."""
     lock = threading.Lock()
@@ -719,18 +661,33 @@ def _lazy_oracle(problem: SystemProblem, n_ref: int, scheme: str, mesh_factory):
     return evaluator
 
 
+_PROBLEM_KEYS = ("m", "eps", "kind", "a", "f", "b", "g0", "g1", "label")
+
+
 def problem_from_dict(data: dict) -> SystemProblem:
     """Constant-coefficient SystemProblem from a JSON-style dict.
 
-    Expected keys: m, eps (list), kind, a (m x m), f (length m); optional
-    b (m x m or null), g0, g1, label.  Function coefficients are not
-    representable in JSON and must be built through the API instead.
+    Expected keys: m (an integer), eps (a list of numbers), kind, a (m x m),
+    f (length m); optional b (m x m or null), g0, g1, label.  Any other key
+    is an error, so a misspelt key cannot be dropped unread.  Function
+    coefficients are not representable in JSON and must be built through
+    the API instead.
     """
     if not isinstance(data, dict):
         raise ValueError(f"problem must be a JSON object, got {type(data).__name__}")
+    if unknown := sorted(set(data) - set(_PROBLEM_KEYS)):
+        raise ValueError(f"unknown problem keys: {', '.join(unknown)}; "
+                         f"known: {', '.join(_PROBLEM_KEYS)}")
     try:
-        m = int(data["m"])
-        eps = tuple(float(e) for e in data["eps"])
+        m, eps = data["m"], data["eps"]
+        if isinstance(m, (bool, str)) or not float(m).is_integer():
+            raise TypeError(f"m must be an integer, got {m!r}")
+        if not isinstance(eps, (list, tuple)) or not all(
+            isinstance(e, numbers.Real) and not isinstance(e, bool) for e in eps
+        ):
+            raise TypeError(f"eps must be a list of numbers, got {eps!r}")
+        m = int(m)
+        eps = tuple(float(e) for e in eps)
         kind = str(data["kind"])
         a = coefficient(np.asarray(data["a"], dtype=float), (m, m))
         f = coefficient(np.asarray(data["f"], dtype=float), (m,))
@@ -777,76 +734,58 @@ def oracle_reference(
     )
 
 
+def _oracle_system(
+    kind: str, eps: tuple[float, ...], n_ref: int, scheme: str, convection: float | None,
+    ends: int,
+) -> tuple[SystemProblem, ReferenceSolution]:
+    """The m = len(eps) system of `kind` with the eps sorted ascending,
+    reaction matrix A (diagonal 2, off-diagonal -1/(2m)), source 1 and
+    convection None or convection*I.  Its reference is a fine-mesh oracle:
+    `scheme` on the multi-scale piecewise-uniform mesh of its default
+    envelope, solved lazily at n_ref rounded up to a multiple of ends*(m+1),
+    the cell counts system_shishkin accepts for layers at `ends` ends."""
+    eps_sorted = tuple(sorted(float(e) for e in eps))
+    m = len(eps_sorted)
+    a = np.full((m, m), -1.0 / (2.0 * m))
+    np.fill_diagonal(a, 2.0)
+    b = None if convection is None else coefficient(np.diag(np.full(m, convection)), (m, m))
+    problem = SystemProblem(
+        m=m, eps=eps_sorted, kind=kind, a=coefficient(a, (m, m)),
+        f=coefficient(np.ones(m), (m,)), b=b,
+        label=f"{kind}(m={m},eps={','.join(f'{e:g}' for e in eps_sorted)})",
+    )
+    per = ends * (m + 1)
+    n_ref = ((n_ref + per - 1) // per) * per
+    ref = oracle_reference(problem, n_ref, scheme,
+                           lambda n: system_shishkin(default_envelope(problem), n),
+                           mesh_label="system_shishkin(default_envelope)")
+    return problem, ref
+
+
 def builtin_reaction_diffusion_system(
-    m: int = 2,
     eps: tuple[float, ...] = (1e-6, 1e-3),
     n_ref: int = 12288,
 ) -> tuple[SystemProblem, ReferenceSolution]:
-    """Coupled reaction-diffusion system -eps_i^2 u_i'' + (A u)_i = 1.
+    """Coupled reaction-diffusion system -eps_i^2 u_i'' + (A u)_i = 1, one
+    component per eps value.
 
     A has diagonal 2 and off-diagonal -1/(2m), which keeps the comparison
     matrix inverse-monotone for every m.  The reference is a fine-mesh
     oracle: central scheme on a multi-scale piecewise-uniform mesh refined
     toward both endpoints, solved lazily at n_ref cells.
     """
-    if len(eps) != m:
-        raise ValueError(f"need {m} eps values, got {len(eps)}")
-    a, f = _default_coupling(m)
-    eps_sorted = tuple(sorted(float(e) for e in eps))
-    problem = SystemProblem(
-        m=m,
-        eps=eps_sorted,
-        kind="reaction-diffusion",
-        a=a,
-        f=f,
-        label=f"reaction-diffusion(m={m},eps={','.join(f'{e:g}' for e in eps_sorted)})",
-    )
-    per = 2 * (m + 1)
-    n_ref = ((n_ref + per - 1) // per) * per
-    ref = oracle_reference(
-        problem,
-        n_ref,
-        "central",
-        lambda n: system_shishkin(default_envelope(problem), n),
-        mesh_label="system_shishkin(default_envelope)",
-    )
-    return problem, ref
+    return _oracle_system("reaction-diffusion", eps, n_ref, "central", None, ends=2)
 
 
 def builtin_weakly_coupled_cd(
-    m: int = 2,
     eps: tuple[float, ...] = (1e-6, 1e-3),
     n_ref: int = 12288,
 ) -> tuple[SystemProblem, ReferenceSolution]:
     """Convection-diffusion system coupled only through the reaction matrix.
 
-    -eps_i u_i'' - u_i' + (A u)_i = 1 with the same well-conditioned A as the
-    reaction-diffusion builtin; every component has a layer at x = 0 of width
-    eps_i.  Reference: upwind fine-mesh oracle on the multi-scale mesh.
+    -eps_i u_i'' - u_i' + (A u)_i = 1, one component per eps value, with the
+    same well-conditioned A as the reaction-diffusion builtin; every
+    component has a layer at x = 0 of width eps_i.  Reference: upwind
+    fine-mesh oracle on the multi-scale mesh.
     """
-    if len(eps) != m:
-        raise ValueError(f"need {m} eps values, got {len(eps)}")
-    a, f = _default_coupling(m)
-    eps_sorted = tuple(sorted(float(e) for e in eps))
-    b = np.zeros((m, m))
-    np.fill_diagonal(b, -1.0)
-    problem = SystemProblem(
-        m=m,
-        eps=eps_sorted,
-        kind="weakly-coupled-cd",
-        b=coefficient(b, (m, m)),
-        a=a,
-        f=f,
-        label=f"weakly-coupled-cd(m={m},eps={','.join(f'{e:g}' for e in eps_sorted)})",
-    )
-    per = m + 1
-    n_ref = ((n_ref + per - 1) // per) * per
-    ref = oracle_reference(
-        problem,
-        n_ref,
-        "simple-upwind",
-        lambda n: system_shishkin(default_envelope(problem), n),
-        mesh_label="system_shishkin(default_envelope)",
-    )
-    return problem, ref
-
+    return _oracle_system("weakly-coupled-cd", eps, n_ref, "simple-upwind", -1.0, ends=1)

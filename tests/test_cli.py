@@ -294,6 +294,27 @@ def test_check_reports_convection_fragments(capsys):
     assert data["upsilon_monotone"] is False
 
 
+_GAMMA_KEYS = {"gamma_matrix", "gamma_inverse_min", "gamma_monotone", "zeta", "diag_dominant"}
+_UPSILON_KEYS = {"upsilon_matrix", "upsilon_inverse_min", "upsilon_row_sum_min",
+                 "upsilon_monotone", "upsilon_heuristic"}
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("reaction-diffusion", _GAMMA_KEYS | {"kappa"}),
+    ("weakly-coupled-cd", _GAMMA_KEYS),
+    ("strongly-coupled-2x2", _UPSILON_KEYS | {"notes"}),
+    ("scalar-cd", {"notes"}),
+])
+def test_check_emits_the_sections_of_each_problem_kind(name, keys, capsys):
+    code, out, err = _run(capsys, "check", "--problem", name)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert set(data) == keys
+    # a zero reaction diagonal skips the gamma section with exactly one note
+    skipped = [n for n in data.get("notes", []) if n.startswith("reaction check skipped")]
+    assert len(skipped) == ("notes" in keys)
+
+
 # ---------------------------------------------------------------------------
 # study
 
@@ -383,6 +404,28 @@ def test_solve_malformed_problem_json_is_config_error(spec, message, tmp_path, c
     path.write_text(json.dumps(spec))
     code, out, err = _run(capsys, "solve", "--problem", str(path))
     assert code == 3 and out == "" and message in err
+
+
+_SCALAR_FILE = {"m": 1, "eps": [1e-3], "kind": "weakly-coupled-cd",
+                "b": [[1.0]], "a": [[0.0]], "f": [1.0]}
+
+
+@pytest.mark.parametrize("change, message", [
+    # a misspelt key must not run as if absent (g_1 would leave u(1) = 0)
+    ({"g_1": [2.0]}, "unknown problem keys: g_1; known: m, eps, kind, a, f, b, g0, g1, label"),
+    ({"m": 1.7}, "m must be an integer, got 1.7"),
+    ({"m": True}, "m must be an integer, got True"),
+    ({"eps": "0.001"}, "eps must be a list of numbers, got '0.001'"),
+    ({"eps": [True]}, "eps must be a list of numbers, got [True]"),
+], ids=["unknown-key", "fractional-m", "bool-m", "string-eps", "bool-eps"])
+def test_problem_file_keys_m_and_eps_are_checked(change, message, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_SCALAR_FILE, **change}))
+    for command in ("solve", "check"):
+        code, out, err = _run(capsys, command, "--problem", str(path))
+        assert code == 3 and out == "" and message in err
+    path.write_text(json.dumps(_SCALAR_FILE))
+    assert _run(capsys, "solve", "--problem", str(path))[0] == 0
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -598,6 +598,14 @@ def test_n_values_must_be_integers():
     assert cfg.n_list == (16, 32) and all(type(n) is int for n in cfg.n_list)
 
 
+def test_report_record_does_not_truncate_n():
+    rep = _report([[0.3, 0.4], [0.2, 0.15], [0.05, 0.06]])
+    assert rep.record(128.0, (1e-6,)).err_max == 0.15
+    # 128.9 is no N of the grid: it must not look up the N = 128 record
+    with pytest.raises(ValueError, match="N values must be integers, got 128.9"):
+        rep.record(128.9, (1e-6,))
+
+
 def test_single_eps_problem_families_reject_eps_vectors():
     for name in (
         "scalar-cd",
@@ -665,7 +673,7 @@ def test_system_shishkin_rejects_mixed_sides():
 
 
 def test_scalar_families_refine_both_ends_for_reaction_diffusion():
-    problem, _ = builtin_reaction_diffusion_system(m=1, eps=(1e-4,))
+    problem, _ = builtin_reaction_diffusion_system(eps=(1e-4,))
     kappa = default_envelope(problem)[0].gamma
     spec = LayerSpec(1e-4, gamma=kappa, side="both")
     mesh = mesh_family("shishkin")(problem, 64)
@@ -684,8 +692,8 @@ def test_oracle_builtins_solve_on_the_study_mesh_family(monkeypatch):
 
     monkeypatch.setattr(problems, "system_shishkin", recording)
     for problem, ref in (
-        builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-3)),
-        builtin_weakly_coupled_cd(m=2, eps=(1e-8, 1e-4)),
+        builtin_reaction_diffusion_system(eps=(1e-6, 1e-3)),
+        builtin_weakly_coupled_cd(eps=(1e-8, 1e-4)),
     ):
         built.clear()
         ref(np.array([0.5]))

@@ -24,7 +24,6 @@ from spbvp.problems import (
     coefficient,
     default_envelope,
     envelope_check,
-    report_to_dict,
     stability_report,
 )
 
@@ -144,23 +143,23 @@ def test_problem_boundary_defaults_and_diffusion():
 def test_gamma_frozen_for_default_reaction_coupling():
     prob, _ = builtin_reaction_diffusion_system()
     rep = check_gamma(prob)
-    np.testing.assert_allclose(rep.gamma_matrix, GAMMA_RD_DEFAULT, atol=0)
-    assert rep.gamma_monotone
-    assert rep.zeta == pytest.approx(0.125, abs=0)
-    assert rep.diag_dominant
-    assert rep.kappa == pytest.approx(KAPPA_RD_DEFAULT, abs=1e-15)
+    np.testing.assert_allclose(rep["gamma_matrix"], GAMMA_RD_DEFAULT, atol=0)
+    assert rep["gamma_monotone"]
+    assert rep["zeta"] == pytest.approx(0.125, abs=0)
+    assert rep["diag_dominant"]
+    assert rep["kappa"] == pytest.approx(KAPPA_RD_DEFAULT, abs=1e-15)
 
 
 def test_gamma_identity_and_verdict_false_case():
     rep = check_gamma(_rd_problem(np.eye(2)))
-    assert rep.gamma_monotone and rep.zeta == 0.0
+    assert rep["gamma_monotone"] and rep["zeta"] == 0.0
     # strong off-diagonal coupling: inverse of [[1,-3],[-3,1]] has negative
     # entries, so the verdict must come back false
     rep2 = check_gamma(_rd_problem([[1.0, -3.0], [-3.0, 1.0]]))
-    assert not rep2.gamma_monotone
-    assert rep2.zeta == pytest.approx(3.0)
-    assert not rep2.diag_dominant
-    assert rep2.gamma_inverse_min == pytest.approx(-3.0 / 8.0)
+    assert not rep2["gamma_monotone"]
+    assert rep2["zeta"] == pytest.approx(3.0)
+    assert not rep2["diag_dominant"]
+    assert rep2["gamma_inverse_min"] == pytest.approx(-3.0 / 8.0)
 
 
 def test_gamma_requires_positive_diagonal():
@@ -173,8 +172,8 @@ def test_gamma_invariant_under_row_scaling():
     scale = np.array([5.0, 0.25])
     r1 = check_gamma(_rd_problem(A))
     r2 = check_gamma(_rd_problem(scale[:, None] * A))
-    np.testing.assert_array_equal(r1.gamma_matrix, r2.gamma_matrix)
-    assert r1.zeta == r2.zeta
+    np.testing.assert_array_equal(r1["gamma_matrix"], r2["gamma_matrix"])
+    assert r1["zeta"] == r2["zeta"]
 
 
 def test_gamma_uses_same_point_ratios_not_separate_sups():
@@ -192,8 +191,8 @@ def test_gamma_uses_same_point_ratios_not_separate_sups():
         a=coefficient(afn, (2, 2)), f=coefficient(np.ones(2), (2,)),
     )
     rep = check_gamma(prob)
-    assert rep.gamma_matrix[0, 1] == pytest.approx(-0.3, rel=1e-12)
-    assert rep.gamma_monotone
+    assert np.asarray(rep["gamma_matrix"])[0, 1] == pytest.approx(-0.3, rel=1e-12)
+    assert rep["gamma_monotone"]
 
 
 def test_symmetric_monotone_implies_positive_definite():
@@ -205,7 +204,7 @@ def test_symmetric_monotone_implies_positive_definite():
         M = 0.5 * (M + M.T)
         np.fill_diagonal(M, np.abs(rng.normal(size=m)) + rng.uniform(0.1, 3.0))
         rep = check_gamma(_rd_problem(M, eps=tuple([1e-3] * m)))
-        if rep.gamma_monotone:
+        if rep["gamma_monotone"]:
             monotone_seen += 1
             assert np.all(np.linalg.eigvalsh(M) > 0.0), M
     assert monotone_seen >= 20
@@ -218,12 +217,12 @@ def test_symmetric_monotone_implies_positive_definite():
 def test_upsilon_frozen_for_builtin_2x2():
     prob, _ = builtin_strongly_coupled_example(1e-6)
     rep = check_upsilon(prob)
-    np.testing.assert_allclose(rep.upsilon_matrix, UPSILON_2X2, atol=0)
-    assert rep.upsilon_inverse_min == pytest.approx(UPSILON_2X2_INV_MIN)
-    assert rep.upsilon_row_sum_min == pytest.approx(-3.0)
-    assert not rep.upsilon_monotone
-    assert rep.upsilon_heuristic
-    assert any("heuristic" in n for n in rep.notes)
+    np.testing.assert_allclose(rep["upsilon_matrix"], UPSILON_2X2, atol=0)
+    assert rep["upsilon_inverse_min"] == pytest.approx(UPSILON_2X2_INV_MIN)
+    assert rep["upsilon_row_sum_min"] == pytest.approx(-3.0)
+    assert not rep["upsilon_monotone"]
+    assert rep["upsilon_heuristic"]
+    assert any("heuristic" in n for n in rep["notes"])
 
 
 def test_upsilon_kind_and_constants_validation():
@@ -234,8 +233,8 @@ def test_upsilon_kind_and_constants_validation():
     with pytest.raises(ValueError, match="positive constants"):
         check_upsilon(prob2, c=np.array([1.0, -1.0]))
     rep = check_upsilon(prob2, c=np.array([0.1, 0.1]))
-    assert not rep.upsilon_heuristic
-    np.testing.assert_allclose(rep.upsilon_matrix, [[1.0, -0.4], [-0.4, 1.0]])
+    assert not rep["upsilon_heuristic"]
+    np.testing.assert_allclose(rep["upsilon_matrix"], [[1.0, -0.4], [-0.4, 1.0]])
 
 
 def test_upsilon_verdict_implies_dominant_convection():
@@ -255,7 +254,7 @@ def test_upsilon_verdict_implies_dominant_convection():
             f=coefficient(np.ones(m), (m,)),
         )
         rep = check_upsilon(prob)
-        if rep.upsilon_monotone:
+        if rep["upsilon_monotone"]:
             true_seen += 1
             offsum = np.abs(B0).sum(axis=1) - np.abs(np.diag(B0))
             assert np.all(np.abs(np.diag(B0)) > offsum)
@@ -280,30 +279,28 @@ def test_upsilon_accounts_for_convection_derivative():
     )
     rep = check_upsilon(prob)
     # L1 of |0.2*pi*cos(2 pi x)| = 0.4, sup = 0.1
-    assert rep.upsilon_matrix[0, 1] == pytest.approx(-0.5, rel=1e-3)
-    assert rep.upsilon_matrix[1, 0] == 0.0 + 1.0 * 0.0  # b_21 = a_21 = 0
-    assert rep.upsilon_monotone
+    assert np.asarray(rep["upsilon_matrix"])[0, 1] == pytest.approx(-0.5, rel=1e-3)
+    assert np.asarray(rep["upsilon_matrix"])[1, 0] == 0.0 + 1.0 * 0.0  # b_21 = a_21 = 0
+    assert rep["upsilon_monotone"]
 
 
 def test_stability_report_merges_sections():
     prob, _ = builtin_strongly_coupled_example(1e-4)
     rep = stability_report(prob)
     # zero reaction diagonal: gamma section skipped with a note
-    assert rep.gamma_matrix is None
-    assert any("skipped" in n for n in rep.notes)
-    assert rep.upsilon_matrix is not None
-    d = report_to_dict(rep)
-    parsed = json.loads(json.dumps(d))
+    assert "gamma_matrix" not in rep
+    assert any("skipped" in n for n in rep["notes"])
+    assert "upsilon_matrix" in rep
+    parsed = json.loads(json.dumps(rep))
     assert parsed["upsilon_monotone"] is False
     assert parsed["upsilon_matrix"] == UPSILON_2X2
 
     prob_rd, _ = builtin_reaction_diffusion_system()
     rep_rd = stability_report(prob_rd)
-    assert rep_rd.upsilon_matrix is None
-    assert rep_rd.gamma_monotone
-    assert json.loads(json.dumps(report_to_dict(rep_rd)))["kappa"] == pytest.approx(
-        KAPPA_RD_DEFAULT
-    )
+    assert "upsilon_matrix" not in rep_rd
+    assert "notes" not in rep_rd  # no check left a note
+    assert rep_rd["gamma_monotone"]
+    assert json.loads(json.dumps(rep_rd))["kappa"] == pytest.approx(KAPPA_RD_DEFAULT)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +463,11 @@ def test_oracle_builtins_defer_and_round_counts():
     probw, refw = builtin_weakly_coupled_cd(n_ref=1000)
     assert refw.n_ref == 1002  # multiple of m+1
     assert probw.b.constant[0, 0] == -1.0  # layers at the left end
-    with pytest.raises(ValueError, match="eps values"):
-        builtin_reaction_diffusion_system(m=2, eps=(1e-3,))
+    # m = len(eps) = 4: multiples of 10 and of 5 both round 12288 to 12290
+    eps4 = (1e-8, 1e-6, 1e-4, 1e-2)
+    for builtin in (builtin_reaction_diffusion_system, builtin_weakly_coupled_cd):
+        prob4, ref4 = builtin(eps4)
+        assert prob4.m == 4 and ref4.n_ref == 12290
 
 
 def test_builtin_registry_complete():
@@ -585,7 +585,7 @@ def test_default_envelope_computed_once_per_problem(monkeypatch):
         return check_gamma(problem)
 
     monkeypatch.setattr("spbvp.problems.check_gamma", counting)
-    problem, _ = builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-3))
+    problem, _ = builtin_reaction_diffusion_system(eps=(1e-6, 1e-3))
     first = default_envelope(problem)
     assert default_envelope(problem) is first and len(calls) == 1
     bad = _non_dominant_reaction_problem()
@@ -646,9 +646,9 @@ def test_dominant_reaction_always_passes_gamma(diag, off):
     A = np.full((m, m), -off * min(diag) / (m - 1))
     np.fill_diagonal(A, diag)
     rep = check_gamma(_rd_problem(A, eps=tuple([1e-3] * m)))
-    assert rep.gamma_monotone
-    assert rep.zeta <= 0.9 + 1e-12
-    assert rep.diag_dominant
+    assert rep["gamma_monotone"]
+    assert rep["zeta"] <= 0.9 + 1e-12
+    assert rep["diag_dominant"]
 
 
 @given(

@@ -1,0 +1,25 @@
+"""The README's library quickstart runs as written and prints what it says."""
+import ast
+import contextlib
+import io
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quickstart_runs_and_prints_first_order_rates():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], str(README), "exec"), {})
+    rates, spread, csv_header = out.getvalue().splitlines()[:3]
+    # corrected rates near 1 (first order up to the log factor) and a C*
+    # spread near 1 (the constant does not depend on eps)
+    rates = ast.literal_eval(rates)
+    assert len(rates) == 4 and all(0.9 <= r <= 1.1 for r in rates)
+    assert float(spread) == pytest.approx(1.0, abs=0.01)
+    assert csv_header.startswith("family,scheme,N,eps,")

@@ -404,7 +404,7 @@ def test_solve_factors_each_system_once(monkeypatch):
     solve(assemble(problem, system_shishkin([spec], 1024), "simple-upwind"))
     assert calls == [1025]
     calls.clear()
-    problem, _ = builtin_reaction_diffusion_system(m=2, eps=(1e-6, 1e-4))
+    problem, _ = builtin_reaction_diffusion_system(eps=(1e-6, 1e-4))
     mesh = system_shishkin([LayerSpec(e, side="both") for e in (1e-6, 1e-4)], 288)
     solve(assemble(problem, mesh, "central"))
     assert calls == [289]
