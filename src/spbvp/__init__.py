@@ -62,6 +62,7 @@ from .schemes import (
     energy_norm,
     energy_norm_error,
     solve,
+    solve_many,
 )
 
 __version__ = "0.1.0"

@@ -41,7 +41,8 @@ from .problems import (
     default_envelope,
     oracle_reference,
 )
-from .schemes import SCHEME_TAGS, DiscreteSolution, discrete_solve, energy_norm_error
+from . import schemes
+from .schemes import SCHEME_TAGS, DiscreteSolution, energy_norm_error
 
 __all__ = [
     "CSV_HEADER",
@@ -352,9 +353,11 @@ def sweep(
 
     problem_family maps an eps vector to (problem, reference), so oracles
     regenerate per eps; mesh_family maps (problem, N) to the mesh, so it can
-    read layer data off the problem.  Cells run in order, N-major; a failed
-    cell becomes a record with the exception text instead of aborting the
-    sweep.  err_energy is computed only for norm="energy".
+    read layer data off the problem.  Cells run N-major: the eps cells of
+    one N are meshed and assembled in order, solved in one
+    ``schemes.solve_many`` call (one stacked reduction) and measured in
+    order.  A failed cell becomes a record with the exception text instead
+    of aborting the sweep.  err_energy is computed only for norm="energy".
     """
     if scheme not in SCHEME_TAGS:
         raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
@@ -371,38 +374,53 @@ def sweep(
         raise ValueError(f"norm 'energy' needs the reference's derivative; "
                          f"the {bare[0]} reference has none")
 
-    def cell(n: int, eps: tuple[float, ...], problem, ref) -> ErrorRecord:
-        try:
-            mesh = mesh_family(problem, n)
-            sol = discrete_solve(problem, mesh, scheme)
-            return ErrorRecord(
-                family=family,
-                scheme=scheme,
-                n=n,
-                eps=eps,
-                err_max=max_norm_error(sol, ref),
-                err_energy=(energy_norm_error(mesh, sol.values, ref, problem.diffusion)
-                            if norm == "energy" else None),
-                q=float(mesh.spacings.max()),
-            )
-        except Exception as exc:  # recorded per cell, not fatal
-            return ErrorRecord(
-                family=family,
-                scheme=scheme,
-                n=n,
-                eps=eps,
-                failure=f"{type(exc).__name__}: {exc}",
-            )
+    def failed(n: int, eps: tuple[float, ...], exc: Exception) -> ErrorRecord:
+        return ErrorRecord(family=family, scheme=scheme, n=n, eps=eps,
+                           failure=f"{type(exc).__name__}: {exc}")
 
-    records = tuple(
-        cell(n, eps, *pair) for n in ns for eps, pair in zip(epss, pairs)
-    )
+    def attempt(step, *args):
+        try:
+            return step(*args)
+        except Exception as exc:  # recorded per cell, not fatal
+            return exc
+
+    def measure(n, eps, problem, ref, sol: DiscreteSolution) -> ErrorRecord:
+        mesh = sol.mesh
+        return ErrorRecord(
+            family=family,
+            scheme=scheme,
+            n=n,
+            eps=eps,
+            err_max=max_norm_error(sol, ref),
+            err_energy=(energy_norm_error(mesh, sol.values, ref, problem.diffusion)
+                        if norm == "energy" else None),
+            q=float(mesh.spacings.max()),
+        )
+
+    # The cells of one N are assembled first and solved together; schemes
+    # is read at call time, so rebinding its names (monkeypatching, tracing)
+    # takes effect.  A failure of the group solve, which cannot say which
+    # cell caused it, sends the group through one solve per cell.
+    records = []
+    for n in ns:
+        ops = [attempt(lambda p: schemes.assemble(p, mesh_family(p, n), scheme), problem)
+               for problem, _ in pairs]
+        built = [op for op in ops if not isinstance(op, Exception)]
+        try:
+            sols = iter(schemes.solve_many(built))
+        except Exception:
+            sols = iter([attempt(schemes.solve, op) for op in built])
+        for eps, (problem, ref), op in zip(epss, pairs, ops):
+            got = op if isinstance(op, Exception) else next(sols)
+            if not isinstance(got, Exception):
+                got = attempt(measure, n, eps, problem, ref, got)
+            records.append(failed(n, eps, got) if isinstance(got, Exception) else got)
     return ConvergenceReport(
         family=family,
         scheme=scheme,
         n_list=ns,
         eps_list=epss,
-        records=records,
+        records=tuple(records),
         target=target,
         norm=norm,
     )

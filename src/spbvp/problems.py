@@ -664,14 +664,39 @@ def _lazy_oracle(problem: SystemProblem, n_ref: int, scheme: str, mesh_factory):
 _PROBLEM_KEYS = ("m", "eps", "kind", "a", "f", "b", "g0", "g1", "label")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _vector(name: str, value, m: int) -> np.ndarray:
+    """A JSON list of m numbers as an array; anything else is a TypeError,
+    so a scalar cannot broadcast and a string cannot parse as a number."""
+    if not (isinstance(value, (list, tuple)) and len(value) == m
+            and all(map(_is_number, value))):
+        raise TypeError(f"{name} must be a list of {m} numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
+def _matrix(name: str, value, m: int) -> np.ndarray:
+    """A JSON m x m list of lists of numbers as an array (see _vector)."""
+    if not (isinstance(value, (list, tuple)) and len(value) == m and all(
+        isinstance(row, (list, tuple)) and len(row) == m and all(map(_is_number, row))
+        for row in value
+    )):
+        raise TypeError(f"{name} must be {m} lists of {m} numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
 def problem_from_dict(data: dict) -> SystemProblem:
     """Constant-coefficient SystemProblem from a JSON-style dict.
 
-    Expected keys: m (an integer), eps (a list of numbers), kind, a (m x m),
-    f (length m); optional b (m x m or null), g0, g1, label.  Any other key
-    is an error, so a misspelt key cannot be dropped unread.  Function
-    coefficients are not representable in JSON and must be built through
-    the API instead.
+    Expected keys: m (an integer), eps (a list of numbers), kind, a (m
+    lists of m numbers), f (a list of m numbers); optional b (m lists of m
+    numbers, or null), g0 and g1 (lists of m numbers), label.  A scalar or
+    a string in place of a list is an error, not broadcast or parsed, and
+    so is any other key, so a misspelt key cannot be dropped unread.
+    Function coefficients are not representable in JSON and must be built
+    through the API instead.
     """
     if not isinstance(data, dict):
         raise ValueError(f"problem must be a JSON object, got {type(data).__name__}")
@@ -682,19 +707,17 @@ def problem_from_dict(data: dict) -> SystemProblem:
         m, eps = data["m"], data["eps"]
         if isinstance(m, (bool, str)) or not float(m).is_integer():
             raise TypeError(f"m must be an integer, got {m!r}")
-        if not isinstance(eps, (list, tuple)) or not all(
-            isinstance(e, numbers.Real) and not isinstance(e, bool) for e in eps
-        ):
+        if not isinstance(eps, (list, tuple)) or not all(map(_is_number, eps)):
             raise TypeError(f"eps must be a list of numbers, got {eps!r}")
         m = int(m)
         eps = tuple(float(e) for e in eps)
         kind = str(data["kind"])
-        a = coefficient(np.asarray(data["a"], dtype=float), (m, m))
-        f = coefficient(np.asarray(data["f"], dtype=float), (m,))
+        a = coefficient(_matrix("a", data["a"], m), (m, m))
+        f = coefficient(_vector("f", data["f"], m), (m,))
         b_raw = data.get("b")
-        b = None if b_raw is None else coefficient(np.asarray(b_raw, dtype=float), (m, m))
-        g0 = np.asarray(data.get("g0", np.zeros(m)), dtype=float)
-        g1 = np.asarray(data.get("g1", np.zeros(m)), dtype=float)
+        b = None if b_raw is None else coefficient(_matrix("b", b_raw, m), (m, m))
+        g0 = _vector("g0", data.get("g0", [0.0] * m), m)
+        g1 = _vector("g1", data.get("g1", [0.0] * m), m)
     except KeyError as exc:
         raise ValueError(f"problem dict missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
@@ -743,9 +766,19 @@ def _oracle_system(
     convection None or convection*I.  Its reference is a fine-mesh oracle:
     `scheme` on the multi-scale piecewise-uniform mesh of its default
     envelope, solved lazily at n_ref rounded up to a multiple of ends*(m+1),
-    the cell counts system_shishkin accepts for layers at `ends` ends."""
+    the cell counts system_shishkin accepts for layers at `ends` ends.  The
+    oracle is solved only on first evaluation, so an eps or n_ref it could
+    not be solved with is refused here."""
     eps_sorted = tuple(sorted(float(e) for e in eps))
     m = len(eps_sorted)
+    if m == 0:
+        raise ValueError(f"the {kind} builtin needs at least one eps value")
+    per = ends * (m + 1)
+    if n_ref <= per:  # rounds to `per` cells; system_shishkin needs 2 * per
+        raise ValueError(
+            f"the {kind} builtin with m = {m} needs n_ref >= {per + 1} (its oracle "
+            f"mesh takes a multiple of {per}, at least {2 * per} cells), got {n_ref}"
+        )
     a = np.full((m, m), -1.0 / (2.0 * m))
     np.fill_diagonal(a, 2.0)
     b = None if convection is None else coefficient(np.diag(np.full(m, convection)), (m, m))
@@ -754,7 +787,6 @@ def _oracle_system(
         f=coefficient(np.ones(m), (m,)), b=b,
         label=f"{kind}(m={m},eps={','.join(f'{e:g}' for e in eps_sorted)})",
     )
-    per = ends * (m + 1)
     n_ref = ((n_ref + per - 1) // per) * per
     ref = oracle_reference(problem, n_ref, scheme,
                            lambda n: system_shishkin(default_envelope(problem), n),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BlockTridiag, block_thomas
+from .linalg import BlockTridiag, block_thomas, stack
 from .meshes import Mesh1D
 from .problems import ReferenceSolution, SystemProblem
 from .quadrature import gauss_legendre_cells
@@ -26,6 +26,7 @@ __all__ = [
     "assemble",
     "apply",
     "solve",
+    "solve_many",
     "discrete_solve",
     "energy_norm",
     "energy_norm_error",
@@ -394,20 +395,46 @@ def _row_abs_sum(blocks: np.ndarray) -> np.ndarray:
 
 def solve(op: DiscreteOperator) -> DiscreteSolution:
     """Block cyclic reduction (refined once inside the kernel), a row-scaled
-    residual guard.
+    residual guard: ``solve_many`` of one operator."""
+    return solve_many([op])[0]
 
-    The residual of each scalar row is divided by that row's coefficient
-    norm (at least 1): on strongly graded meshes the raw row norms reach
-    1e10 and an absolute residual would measure nothing but their size.
-    The scaled residual must stay below 1e-10 * (1 + max |rhs|).  The
-    solver does not pivot across block rows, so near-skew rows (untreated
-    convection with vanishing reaction) can amplify roundoff; up to two
-    further refinement passes restore the residual, which is checked after
-    every pass.  A non-finite residual fails at once: no refinement pass can
-    repair it.
+
+def solve_many(ops) -> list[DiscreteSolution]:
+    """Solve several operators, those of equal size in one stacked
+    reduction, and guard each solution.
+
+    The operators of each (n_nodes, m) go to one ``block_thomas`` call as a
+    stack; a stack of one is a view of its operator, so a single solve
+    copies nothing.  The stacked reduction solves each system as it would
+    alone, so every solution is the one ``solve`` gives.  A singular pivot
+    block in any system of a stack raises SingularMatrixError for the call.
+
+    Each solution then passes the residual guard of its own operator.  The
+    residual of each scalar row is divided by that row's coefficient norm
+    (at least 1): on strongly graded meshes the raw row norms reach 1e10 and
+    an absolute residual would measure nothing but their size.  The scaled
+    residual must stay below 1e-10 * (1 + max |rhs|).  The solver does not
+    pivot across block rows, so near-skew rows (untreated convection with
+    vanishing reaction) can amplify roundoff; up to two further refinement
+    passes restore the residual, which is checked after every pass.  A
+    non-finite residual fails at once: no refinement pass can repair it.
+    The first operator that fails its guard raises RuntimeError.
     """
+    ops = list(ops)
+    first: list = [None] * len(ops)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, op in enumerate(ops):
+        groups.setdefault((op.n_nodes, op.m), []).append(i)
+    for idx in groups.values():
+        u = block_thomas(stack(ops[i].matrix for i in idx), stack(ops[i].rhs for i in idx))
+        for i, ui in zip(idx, u):
+            first[i] = ui
+    return [_guarded(op, u) for op, u in zip(ops, first)]
+
+
+def _guarded(op: DiscreteOperator, u: np.ndarray) -> DiscreteSolution:
+    """The residual guard of ``solve_many`` on a first solution u of op."""
     mat = op.matrix
-    u = block_thomas(mat, op.rhs)
     scale = _row_abs_sum(mat.diag)
     scale[1:] += _row_abs_sum(mat.sub)
     scale[:-1] += _row_abs_sum(mat.sup)

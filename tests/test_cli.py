@@ -428,6 +428,37 @@ def test_problem_file_keys_m_and_eps_are_checked(change, message, tmp_path, caps
     assert _run(capsys, "solve", "--problem", str(path))[0] == 0
 
 
+_SYSTEM_FILE = {"m": 2, "eps": [1e-4, 1e-3], "kind": "weakly-coupled-cd",
+                "b": [[1.0, 0.0], [0.0, 1.0]], "a": [[2.0, -0.25], [-0.25, 2.0]],
+                "f": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("change, message", [
+    # a scalar or a string must not broadcast to the whole matrix or vector
+    ({"a": "3"}, "a must be 2 lists of 2 numbers, got '3'"),
+    ({"a": 3.0}, "a must be 2 lists of 2 numbers, got 3.0"),
+    ({"a": [2.0, 2.0]}, "a must be 2 lists of 2 numbers, got [2.0, 2.0]"),
+    ({"a": [[2.0, "0"], [0.0, 2.0]]}, "a must be 2 lists of 2 numbers"),
+    ({"b": [[1.0, 0.0]]}, "b must be 2 lists of 2 numbers, got [[1.0, 0.0]]"),
+    ({"b": [[True, 0.0], [0.0, 1.0]]}, "b must be 2 lists of 2 numbers"),
+    ({"f": 5.0}, "f must be a list of 2 numbers, got 5.0"),
+    ({"f": [1.0]}, "f must be a list of 2 numbers, got [1.0]"),
+    ({"f": ["1", "1"]}, "f must be a list of 2 numbers, got ['1', '1']"),
+    ({"g0": 0.0}, "g0 must be a list of 2 numbers, got 0.0"),
+    ({"g1": [1.0, 2.0, 3.0]}, "g1 must be a list of 2 numbers, got [1.0, 2.0, 3.0]"),
+], ids=["string-a", "scalar-a", "flat-a", "string-entry-a", "short-b", "bool-b",
+        "scalar-f", "short-f", "string-f", "scalar-g0", "long-g1"])
+def test_problem_file_coefficients_must_have_the_problem_shape(change, message, tmp_path,
+                                                               capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_SYSTEM_FILE, **change}))
+    for command in ("solve", "check"):
+        code, out, err = _run(capsys, command, "--problem", str(path))
+        assert code == 3 and out == "" and message in err
+    path.write_text(json.dumps({**_SYSTEM_FILE, "g0": [0, 1], "g1": [1, 0]}))
+    assert _run(capsys, "solve", "--problem", str(path), "--mesh", "uniform")[0] == 0
+
+
 @pytest.mark.parametrize("extra, message", [
     ({"N_list": [[64]]}, "N_list and eps_list must hold numbers"),
     ({"eps_list": [None]}, "N_list and eps_list must hold numbers"),

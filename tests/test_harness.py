@@ -1,4 +1,5 @@
 """Sweep bookkeeping: records, uniform rates, C*, emission, study registry."""
+import dataclasses
 import json
 import math
 import pathlib
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spbvp import harness, problems
+from spbvp import harness, problems, schemes
 from spbvp.harness import (
     CSV_HEADER,
     ConvergenceReport,
@@ -29,6 +30,7 @@ from spbvp.harness import (
     study_from_dict,
     sweep,
 )
+from spbvp.linalg import BlockTridiag
 from spbvp.meshes import LayerSpec, mirror, system_shishkin
 from spbvp.problems import (
     ReferenceSolution,
@@ -41,7 +43,7 @@ from spbvp.problems import (
     default_envelope,
     oracle_reference,
 )
-from spbvp.schemes import discrete_solve
+from spbvp.schemes import discrete_solve, solve_many
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -282,14 +284,61 @@ def test_sweep_records_cell_failures_without_aborting():
     assert body[1].endswith(",,,,,")
 
 
+def test_sweep_group_failures_stay_in_their_own_cells(monkeypatch):
+    # One N-group holds a cell whose mesh cannot be built (eps = 1e-15 on
+    # shishkin at N >= 256), a singular cell (a zeroed first pivot, at
+    # N = 256 only) and a cell that fails the residual guard (row 4 scaled
+    # by 1e-17).  The stacked solve raises at N = 256 (singular) and
+    # N = 512 (guard); every cell must still read as it does solved alone.
+    assemble = schemes.assemble
+
+    def rigged(problem, mesh, scheme):
+        op = assemble(problem, mesh, scheme)
+        mat, eps = op.matrix, problem.eps[0]
+        sub, diag, sup = mat.sub.copy(), mat.diag.copy(), mat.sup.copy()
+        if eps == 1e-3 and mat.n == 257:
+            diag[1] = 0.0
+        elif eps == 1e-2:
+            diag[4] *= 1e-17
+            sub[3] *= 1e-17
+            sup[4] *= 1e-17
+        return dataclasses.replace(op, matrix=BlockTridiag(sub=sub, diag=diag, sup=sup))
+
+    monkeypatch.setattr(schemes, "assemble", rigged)
+    n_list = (256, 512)
+    eps_list = ((1e-4,), (1e-15,), (1e-3,), (1e-2,), (1e-6,))
+    family, meshes = problem_family("scalar-cd"), mesh_family("shishkin")
+    rep = sweep(family, meshes, "simple-upwind", n_list, eps_list, family="shishkin")
+
+    # each cell alone: mesh, assemble, solve, errors, first failure wins
+    for rec, (n, eps) in zip(rep.records, [(n, e) for n in n_list for e in eps_list]):
+        problem, ref = family(eps)
+        try:
+            mesh = meshes(problem, n)
+            sol = schemes.solve(rigged(problem, mesh, "simple-upwind"))
+        except Exception as exc:
+            assert rec.failure == f"{type(exc).__name__}: {exc}"
+            assert math.isnan(rec.err_max)
+            continue
+        assert rec.failure is None
+        assert rec.err_max == max_norm_error(sol, ref)
+        assert rec.q == float(mesh.spacings.max())
+    failures = {(r.n, r.eps[0]): r.failure for r in rep.failures}
+    assert set(failures) == {(256, 1e-15), (512, 1e-15), (256, 1e-3), (256, 1e-2), (512, 1e-2)}
+    assert failures[(256, 1e-15)].startswith("ValueError: mesh points must increase strictly")
+    assert failures[(256, 1e-3)] == (
+        "SingularMatrixError: singular pivot block at cyclic reduction level 0")
+    assert failures[(512, 1e-2)].startswith("RuntimeError: solver residual")
+
+
 def test_sweep_rejects_unordered_n_list_before_solving(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return discrete_solve(*args, **kwargs)
+        return solve_many(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "discrete_solve", counting)
+    monkeypatch.setattr(schemes, "solve_many", counting)
     cfg = study_from_dict(
         {
             "problem": "scalar-cd",
@@ -302,6 +351,8 @@ def test_sweep_rejects_unordered_n_list_before_solving(monkeypatch):
     with pytest.raises(ValueError, match=r"n_list must increase strictly, got \(4096, 2048, 1024\)"):
         run_study(cfg)
     assert calls == []
+    run_study(dataclasses.replace(cfg, n_list=(16, 32)))
+    assert len(calls) == 2  # one group solve per N: the counter sees the sweep
 
 
 def test_sweep_rejects_energy_norm_without_reference_derivative(monkeypatch):
@@ -309,9 +360,9 @@ def test_sweep_rejects_energy_norm_without_reference_derivative(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return discrete_solve(*args, **kwargs)
+        return solve_many(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "discrete_solve", counting)
+    monkeypatch.setattr(schemes, "solve_many", counting)
     cfg = study_from_dict(
         {
             "problem": "weakly-coupled-cd",

@@ -7,7 +7,7 @@ import pytest
 
 from spbvp import linalg
 from spbvp.harness import mesh_family
-from spbvp.linalg import BlockTridiag, SingularMatrixError, block_thomas
+from spbvp.linalg import BlockTridiag, SingularMatrixError, block_thomas, stack
 from spbvp.problems import builtin_scalar_cd
 from spbvp.schemes import assemble
 
@@ -105,6 +105,60 @@ def test_block_thomas_matches_dense_randomized():
         x = block_thomas(mat, rhs)
         ref = np.linalg.solve(mat.to_dense(), rhs.ravel()).reshape(n, m)
         assert np.allclose(x, ref, rtol=1e-9, atol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# stacks of systems
+# ---------------------------------------------------------------------------
+
+
+def test_stacked_solve_bitwise_equal_to_each_system_alone():
+    # k systems of one n and m share every numpy call and still round as
+    # each one does alone
+    rng = np.random.default_rng(53)
+    for m in (1, 2, 3):
+        for n in list(range(1, 41)) + [1025]:
+            mats = [random_block_system(rng, n, m) for _ in range(4)]
+            rhss = [rng.uniform(-1.0, 1.0, (n, m)) for _ in range(4)]
+            alone = [block_thomas(mat, rhs) for mat, rhs in zip(mats, rhss)]
+            for k in (1, 2, 3, 4):
+                got = block_thomas(stack(mats[:k]), stack(rhss[:k]))
+                assert got.shape == (k, n, m)
+                for i in range(k):
+                    assert np.array_equal(got[i], alone[i]), (m, n, k, i)
+
+
+def test_stacked_solve_bitwise_equal_alone_with_every_level_wide(monkeypatch):
+    monkeypatch.setattr(linalg, "_WIDE", 2)
+    test_stacked_solve_bitwise_equal_to_each_system_alone()
+
+
+def test_stack_of_one_is_a_view_and_keeps_per_system_sizes():
+    rng = np.random.default_rng(59)
+    mat = random_block_system(rng, 9, 2)
+    one = stack([mat])
+    assert one.diag.shape == (1, 9, 2, 2)
+    for a, b in ((one.sub, mat.sub), (one.diag, mat.diag), (one.sup, mat.sup)):
+        assert np.shares_memory(a, b)
+    rhs = rng.uniform(-1.0, 1.0, (9, 2))
+    assert np.shares_memory(stack([rhs]), rhs)
+    pair = stack([mat, random_block_system(rng, 9, 2)])
+    assert (pair.n, pair.m) == (9, 2) and pair.diag.shape == (2, 9, 2, 2)
+    assert not np.shares_memory(pair.diag, mat.diag)
+    v = rng.uniform(-1.0, 1.0, (2, 9, 2))
+    assert np.array_equal(pair.matvec(v)[0], mat.matvec(v[0]))
+    with pytest.raises(ValueError, match=r"rhs must be \(2, 9, 2\)"):
+        block_thomas(pair, rhs)
+
+
+def test_singular_member_fails_the_stacked_solve():
+    rng = np.random.default_rng(61)
+    good = random_block_system(rng, 5, 1)
+    diag = good.diag.copy()
+    diag[1] = 0.0  # an odd row: the first level pivots on it
+    bad = BlockTridiag(sub=good.sub, diag=diag, sup=good.sup)
+    with pytest.raises(SingularMatrixError, match="level 0$"):
+        block_thomas(stack([good, bad]), np.ones((2, 5, 1)))
 
 
 # ---------------------------------------------------------------------------

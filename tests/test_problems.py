@@ -470,6 +470,24 @@ def test_oracle_builtins_defer_and_round_counts():
         assert prob4.m == 4 and ref4.n_ref == 12290
 
 
+@pytest.mark.parametrize("builtin, ends", [
+    (builtin_reaction_diffusion_system, 2), (builtin_weakly_coupled_cd, 1),
+])
+def test_oracle_builtins_refuse_sizes_their_oracle_cannot_take(builtin, ends):
+    # the oracle is solved lazily, so an n_ref it cannot be solved at must
+    # fail when the builtin is built, not at its first evaluation in a sweep
+    with pytest.raises(ValueError, match="needs at least one eps value"):
+        builtin(())
+    for eps in ((1e-3,), (1e-6, 1e-3)):
+        per = ends * (len(eps) + 1)
+        for n_ref in (2, per):
+            with pytest.raises(ValueError, match=f"needs n_ref >= {per + 1} .*got {n_ref}$"):
+                builtin(eps, n_ref=n_ref)
+        _, ref = builtin(eps, n_ref=per + 1)
+        assert ref.n_ref == 2 * per
+        assert np.all(np.isfinite(ref(np.linspace(0.0, 1.0, 5))))
+
+
 def test_builtin_registry_complete():
     assert spbvp.PROBLEMS is PROBLEMS
     builtins = {

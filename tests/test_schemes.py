@@ -29,6 +29,7 @@ from spbvp.schemes import (
     energy_norm,
     energy_norm_error,
     solve,
+    solve_many,
     _fitting_factor,
 )
 
@@ -432,6 +433,24 @@ def test_solve_checks_residual_after_every_pass(monkeypatch):
     with pytest.raises(RuntimeError, match="solver residual"):
         solve(bad)
     assert len(calls) == 3  # the solve and two further passes, each checked
+
+
+def test_solve_many_stacks_each_size_once_and_equals_solve(monkeypatch):
+    ops = []
+    for eps in (1e-4, 1e-6, 1e-8):
+        problem, _ = builtin_scalar_cd(eps)
+        for n in (16, 32):
+            ops.append(assemble(problem, mesh_family("shishkin")(problem, n), "simple-upwind"))
+    problem, _ = builtin_reaction_diffusion_system(eps=(1e-6, 1e-4))
+    ops.append(assemble(problem, mesh_family("system-shishkin")(problem, 24), "central"))
+    alone = [solve(op) for op in ops]
+    calls = _count_kernel_calls(monkeypatch)
+    together = solve_many(ops)
+    assert sorted(calls) == [17, 25, 33]  # one stacked call per (n, m)
+    for a, b in zip(alone, together):
+        assert np.array_equal(a.values, b.values)
+        assert a.residual == b.residual and a.mesh is b.mesh
+    assert solve_many([]) == []
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
