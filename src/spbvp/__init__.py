@@ -27,10 +27,7 @@ from .meshes import (
     bakhvalov_shishkin,
     bakhvalov_type,
     diagnostics,
-    duran_lombardi,
     equidistribute,
-    gartland,
-    lambert_mesh,
     mirror,
     system_shishkin,
     uniform_mesh,

@@ -24,9 +24,7 @@ from .meshes import (
     bakhvalov_original,
     bakhvalov_shishkin,
     bakhvalov_type,
-    duran_lombardi,
-    gartland,
-    lambert_mesh,
+    check_eps,
     system_shishkin,
     uniform_mesh,
 )
@@ -133,10 +131,13 @@ def corrected_rate(
 
 def _eps_key(eps) -> tuple[float, ...]:
     if isinstance(eps, (int, float)):
-        return (float(eps),)
-    key = tuple(float(e) for e in eps)
+        key = (float(eps),)
+    else:
+        key = tuple(float(e) for e in eps)
     if not key:
         raise ValueError("an eps vector needs at least one value")
+    for e in key:
+        check_eps(e)
     return key
 
 
@@ -170,8 +171,6 @@ class ErrorRecord:
         object.__setattr__(self, "eps", _eps_key(self.eps))
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
-        if any(e <= 0.0 for e in self.eps):
-            raise ValueError(f"eps values must be positive, got {self.eps}")
         if self.failure is None:
             if not self.err_max >= 0.0:
                 raise ValueError(f"err_max must be >= 0, got {self.err_max!r}")
@@ -604,20 +603,17 @@ def _one_layer(layers: Sequence[LayerSpec]) -> LayerSpec:
     return layers[0]
 
 
-# Mesh families by tag, as (layers, n) -> Mesh1D.  The scalar families take
-# exactly one layer (shishkin is system_shishkin on it), system-shishkin
-# takes every layer and uniform reads none.  The lambdas look their builders
-# up per call, so rebinding a module name (monkeypatching, tracing) takes
-# effect.
+# Mesh families by tag, as (layers, n) -> Mesh1D with exactly n cells.  The
+# scalar families take exactly one layer (shishkin is system_shishkin on it),
+# system-shishkin takes every layer and uniform reads none.  The lambdas look
+# their builders up per call, so rebinding a module name (monkeypatching,
+# tracing) takes effect.
 MESHES: dict[str, Callable[[Sequence[LayerSpec], int], Mesh1D]] = {
     "uniform": lambda layers, n: uniform_mesh(n),
     "shishkin": lambda layers, n: system_shishkin([_one_layer(layers)], n),
     "bakhvalov-shishkin": lambda layers, n: bakhvalov_shishkin(_one_layer(layers), n),
     "bakhvalov-type": lambda layers, n: bakhvalov_type(_one_layer(layers), n),
     "bakhvalov": lambda layers, n: bakhvalov_original(_one_layer(layers), n),
-    "gartland": lambda layers, n: gartland(_one_layer(layers), n),
-    "duran-lombardi": lambda layers, n: duran_lombardi(_one_layer(layers), n),
-    "lambert": lambda layers, n: lambert_mesh(_one_layer(layers), n),
     "system-shishkin": lambda layers, n: system_shishkin(layers, n),
 }
 

@@ -1,11 +1,10 @@
 """Layer-adapted meshes on the unit interval.
 
-Every family is one function of (LayerSpec, n): ``uniform_mesh`` reads no
-layer, ``system_shishkin`` builds the piecewise-uniform Shishkin mesh for
-one or several layers, and the graded families (``bakhvalov_shishkin``,
-``bakhvalov_type``, ``bakhvalov_original``, ``gartland``,
-``duran_lombardi``, ``lambert_mesh``) take the one layer.  ``gartland`` and
-``duran_lombardi`` grade toward the coarse step h = 1/n.
+Every family is one function of (LayerSpec, n) and builds exactly n cells:
+``uniform_mesh`` reads no layer, ``system_shishkin`` builds the
+piecewise-uniform Shishkin mesh for one or several layers, and the graded
+families (``bakhvalov_shishkin``, ``bakhvalov_type``,
+``bakhvalov_original``) take the one layer.
 
 All constructors build the canonical orientation with the boundary layer at
 x = 0, and ``_oriented`` is the one place that turns those points into a
@@ -30,8 +29,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .rootfind import solve_scalar
-
 __all__ = [
     "Mesh1D",
     "LayerSpec",
@@ -40,9 +37,6 @@ __all__ = [
     "bakhvalov_shishkin",
     "bakhvalov_type",
     "bakhvalov_original",
-    "gartland",
-    "duran_lombardi",
-    "lambert_mesh",
     "equidistribute",
     "system_shishkin",
     "mirror",
@@ -68,14 +62,14 @@ class Mesh1D:
             raise ValueError(f"mesh needs at least two points, got shape {pts.shape}")
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ValueError(
-                f"mesh must span [0, 1] exactly, got [{pts[0]!r}, {pts[-1]!r}]"
+                f"mesh must span [0, 1] exactly, got [{float(pts[0])!r}, {float(pts[-1])!r}]"
             )
         spacings = np.diff(pts)
         if np.any(spacings <= 0.0):
             bad = int(np.argmin(spacings))
             raise ValueError(
                 f"mesh points must increase strictly; cell {bad} has width "
-                f"{spacings[bad]!r}"
+                f"{float(spacings[bad])!r}"
             )
         pts.flags.writeable = False
         spacings.flags.writeable = False
@@ -89,6 +83,12 @@ class Mesh1D:
     @property
     def n_cells(self) -> int:
         return len(self.points) - 1
+
+
+def check_eps(eps: float) -> None:
+    """The one eps check of layers, problems and studies: finite and positive."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {float(eps)!r}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ class LayerSpec:
     side: str = "left"
 
     def __post_init__(self) -> None:
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
+        check_eps(self.eps)
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
         if not self.mu > 0.0:
@@ -229,7 +228,7 @@ def bakhvalov_type(spec: LayerSpec, n: int) -> Mesh1D:
 
 
 # ---------------------------------------------------------------------------
-# fully graded families
+# fully graded family
 # ---------------------------------------------------------------------------
 
 
@@ -239,7 +238,7 @@ def bakhvalov_original(spec: LayerSpec, n: int) -> Mesh1D:
 
     The switch point tau solves phi'(tau)*(1 - tau) = 1 - phi(tau), which
     makes the tangent hit (1, 1).  The root is found in the rescaled
-    variable s = (q - tau)/width_scale so the residual tolerance 1e-12 is
+    variable s = (q - tau)/width_scale so the residual tolerance 1e-13 is
     meaningful for arbitrarily small eps.  Without a root (wide layers) the
     mesh degenerates to uniform.
     """
@@ -249,10 +248,6 @@ def bakhvalov_original(spec: LayerSpec, n: int) -> Mesh1D:
         raise ValueError("bakhvalov_original supports side='left' or 'right' only")
     label = f"bakhvalov(eps={spec.eps:g},n={n},side={spec.side})"
     q, a = 0.5, spec.width_scale
-    if a >= q:
-        mesh = uniform_mesh(n, label)
-        mesh.meta["degenerate"] = "mesh degenerates to uniform (layer too wide)"
-        return mesh
 
     # C^1 matching in s: residual(s) = (1-q)/s + a - 1 - a*ln(a*s/q).
     def g(s: float) -> float:
@@ -262,12 +257,36 @@ def bakhvalov_original(spec: LayerSpec, n: int) -> Mesh1D:
         return -(1.0 - q) / (s * s) - a / s
 
     s_hi = q / a  # tau = 0
-    s_lo = min(1.0, 0.5 * s_hi)
-    while g(s_lo) <= 0.0:
-        s_lo *= 0.1
-        if s_lo < 1e-280:
+    hi = s_hi * (1.0 - 1e-12)
+    # g(s_hi) = a/q - 1, so within 1e-12 of a = q no root leaves tau > 0
+    if a >= q or g(hi) >= 0.0:
+        mesh = uniform_mesh(n, label)
+        mesh.meta["degenerate"] = "mesh degenerates to uniform (layer too wide)"
+        return mesh
+    lo = min(1.0, 0.5 * s_hi)
+    while g(lo) <= 0.0:
+        lo *= 0.1
+        if lo < 1e-280:
             raise RuntimeError("no bracket for the tangent-matching equation")
-    s = solve_scalar(g, s_lo, s_hi * (1.0 - 1e-12), fprime=gp, tol=1e-13)
+    # g is decreasing and convex with g(lo) > 0 > g(hi): Newton from the
+    # bracket midpoint, kept only strictly inside the bracket, else bisection.
+    s = 0.5 * (lo + hi)
+    for _ in range(200):
+        gs = g(s)
+        if abs(gs) <= 1e-13:
+            break
+        if gs > 0.0:
+            lo = s
+        else:
+            hi = s
+        s_new = s - gs / gp(s)
+        if not lo < s_new < hi:
+            s_new = 0.5 * (lo + hi)
+        if not lo < s_new < hi:
+            break  # the bracket collapsed to float resolution
+        s = s_new
+    if not abs(gs) <= 1e-13:
+        raise RuntimeError(f"tangent-matching iteration stalled at residual {gs!r}")
     tau = q - a * s
     phi_tau = -a * math.log(a * s / q)
     slope = 1.0 / s
@@ -288,105 +307,6 @@ def bakhvalov_original(spec: LayerSpec, n: int) -> Mesh1D:
         "endpoint_defect": residual_at_one,
     }
     return _oriented(pts, spec.side, label, meta)
-
-
-def _coarse_step(n: int, who: str) -> float:
-    """Target coarse step 1/n of the step-driven families."""
-    if n < 2:
-        raise ValueError(f"{who} needs n >= 2 (coarse step 1/n), got n={n}")
-    return 1.0 / n
-
-
-def gartland(spec: LayerSpec, n: int) -> Mesh1D:
-    """Recursively graded mesh with target coarse step h = 1/n.
-
-    Cell widths follow min(h, eps*h*exp(gamma*x/(2*eps)), e*previous) from a
-    first cell of min(eps*h, h).  An undersized terminal cell is merged into
-    its neighbour (or the merged span re-split) so every adjacent ratio
-    stays <= e.
-    """
-    h = _coarse_step(n, "gartland")
-    if spec.side == "both":
-        raise ValueError("gartland supports side='left' or 'right' only")
-    eps, gamma = spec.eps, spec.gamma
-    pts = [0.0]
-    prev = min(eps * h, h)
-    x = prev
-    guard = 20 * n + 10_000_000
-    while x < 1.0:
-        pts.append(x)
-        arg = gamma * x / (2.0 * eps)
-        grown = eps * h * math.exp(arg) if arg < 700.0 else h
-        prev = min(h, grown, math.e * prev)
-        x = x + prev
-        if len(pts) > guard:
-            raise RuntimeError("mesh generation did not terminate")
-    # Terminal cell: keep the adjacent-cell ratio <= e.  A remainder at
-    # least prev/e stands on its own; smaller ones merge into the previous
-    # cell, or split the merged span in two when merging would overshoot
-    # the ratio bound against the cell before it.
-    prev = pts[-1] - pts[-2] if len(pts) >= 2 else 1.0
-    rem = 1.0 - pts[-1]
-    if rem >= prev / math.e:
-        pts.append(1.0)
-    else:
-        merged = prev + rem
-        prev2 = pts[-2] - pts[-3] if len(pts) >= 3 else None
-        if prev2 is None or merged <= math.e * prev2:
-            pts[-1] = 1.0
-        else:
-            pts[-1] = 0.5 * (pts[-2] + 1.0)
-            pts.append(1.0)
-    label = f"gartland(eps={eps:g},n={n},side={spec.side})"
-    return _oriented(pts, spec.side, label, {"target_h": h})
-
-
-def duran_lombardi(spec: LayerSpec, n: int) -> Mesh1D:
-    """Geometrically graded mesh with h = 1/n: x_1 = h*eps, then growth by
-    1 + h.  A final cell shorter than half its neighbour is merged."""
-    h = _coarse_step(n, "duran_lombardi")
-    if not spec.eps <= 1.0:
-        raise ValueError(f"eps must be <= 1, got {spec.eps!r}")
-    if spec.side == "both":
-        raise ValueError("duran_lombardi supports side='left' or 'right' only")
-    ratio = 1.0 + h
-    pts = [0.0]
-    x = h * spec.eps
-    while x < 1.0:
-        pts.append(x)
-        x *= ratio
-    if len(pts) >= 2 and 1.0 - pts[-1] < 0.5 * (pts[-1] - pts[-2]):
-        pts[-1] = 1.0  # merge the sliver
-    else:
-        pts.append(1.0)
-    label = f"duran_lombardi(eps={spec.eps:g},n={n},side={spec.side})"
-    return _oriented(pts, spec.side, label, {"ratio": ratio})
-
-
-def lambert_mesh(spec: LayerSpec, n: int) -> Mesh1D:
-    """Mesh from the implicit relation xi - exp(-xi/width_scale) + 1 - 2t = 0.
-
-    The exponent is negative so the relation has a unique increasing
-    solution branch with xi(0) = 0 for every eps; points are rescaled by
-    xi(1) so the mesh ends at 1 exactly.
-    """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    if spec.side == "both":
-        raise ValueError("lambert_mesh supports side='left' or 'right' only")
-    c = 1.0 / spec.width_scale
-    xi = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        t = i / n
-        f = lambda z, tt=t: z - math.exp(-c * z) + 1.0 - 2.0 * tt
-        fp = lambda z: 1.0 + c * math.exp(-c * z)
-        xi[i] = solve_scalar(f, 0.0, 2.0 + 2.0 * t, fprime=fp, tol=1e-13)
-    scale = xi[-1]
-    pts = xi / scale
-    pts[0] = 0.0
-    pts[-1] = 1.0
-    label = f"lambert(eps={spec.eps:g},n={n},side={spec.side})"
-    return _oriented(pts, spec.side, label, {"xi_scale": float(scale)})
 
 
 def _monitor_values(monitor: Callable, grid: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .meshes import LayerSpec, system_shishkin
+from .meshes import LayerSpec, check_eps, system_shishkin
 
 __all__ = [
     "Coefficient",
@@ -120,8 +120,10 @@ class SystemProblem:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.m < 1:
             raise ValueError(f"need m >= 1, got {self.m}")
-        if len(self.eps) != self.m or any(e <= 0.0 for e in self.eps):
-            raise ValueError(f"eps must be {self.m} positive values, got {self.eps}")
+        if len(self.eps) != self.m:
+            raise ValueError(f"eps must be {self.m} values, got {self.eps}")
+        for e in self.eps:
+            check_eps(e)
         mm = (self.m, self.m)
         if self.a.shape != mm:
             raise ValueError(f"reaction coefficient must have shape {mm}")
@@ -434,6 +436,18 @@ def envelope_check(
 # ---------------------------------------------------------------------------
 
 
+def _self_check(resid: np.ndarray, scale: np.ndarray, eps: float) -> None:
+    """Residual self-check of a closed-form builtin, relative to the local
+    size of the operator terms.  A residual that is not finite means the
+    closed form overflows float64 at this eps (u'' grows like eps^-2), so
+    the eps is out of range; a finite one above 1e-10 means a formula slip."""
+    worst = float(np.max(np.abs(resid) / scale))
+    if not math.isfinite(worst):
+        raise ValueError(f"the exact solution is not finite in float64 at eps = {eps!r}")
+    if not worst <= 1e-10:
+        raise RuntimeError(f"exact-solution self-check failed: residual {worst:.3e}")
+
+
 def builtin_scalar_cd(eps: float = 1e-6) -> tuple[SystemProblem, ReferenceSolution]:
     """-eps*u'' + u' = 1 with u(0)=u(1)=0: the scalar calibration problem.
 
@@ -442,8 +456,7 @@ def builtin_scalar_cd(eps: float = 1e-6) -> tuple[SystemProblem, ReferenceSoluti
     before being handed out (relative to the local size of the operator
     terms, since u'' ~ eps^{-2} makes an absolute residual meaningless).
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    check_eps(eps)
     den = -math.expm1(-1.0 / eps)  # 1 - e^{-1/eps}, safe for all eps
     tail = math.exp(-1.0 / eps)
 
@@ -462,9 +475,7 @@ def builtin_scalar_cd(eps: float = 1e-6) -> tuple[SystemProblem, ReferenceSoluti
     upp = du(xs, 2)[:, 0]
     resid = -eps * upp + up - 1.0
     scale = 1.0 + np.abs(up) + eps * np.abs(upp)
-    worst = float(np.max(np.abs(resid) / scale))
-    if worst > 1e-10:
-        raise RuntimeError(f"exact-solution self-check failed: residual {worst:.3e}")
+    _self_check(resid, scale, eps)
 
     problem = SystemProblem(
         m=1,
@@ -494,8 +505,7 @@ def builtin_strongly_coupled_example(
     the only defect is an O(exp(-5/eps)) boundary mismatch, which is below
     roundoff for eps < 0.05.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    check_eps(eps)
 
     def parts(x: np.ndarray):
         e0 = np.exp(-5.0 * x / eps)
@@ -563,8 +573,7 @@ def builtin_strongly_coupled_variable(
     10^3 points (800 spread over [0, 1], 100 inside each layer) catches a
     slip in either.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    check_eps(eps)
     v0 = np.array([math.cos(0.3), math.sin(0.3)])
     v1 = np.array([-math.sin(0.8), math.cos(0.8)])
 
@@ -616,9 +625,7 @@ def builtin_strongly_coupled_variable(
     upp = du(xs, 2)
     resid = -eps * upp + np.einsum("nij,nj->ni", bx, up) - f_fn(xs)
     scale = 1.0 + np.einsum("nij,nj->ni", np.abs(bx), np.abs(up)) + eps * np.abs(upp)
-    worst = float(np.max(np.abs(resid) / scale))
-    if worst > 1e-10:
-        raise RuntimeError(f"exact-solution self-check failed: residual {worst:.3e}")
+    _self_check(resid, scale, eps)
 
     problem = SystemProblem(
         m=2,

@@ -56,24 +56,6 @@ def test_mesh_writes_to_file(tmp_path, capsys):
     assert target.read_text().startswith("i,x_i,h_i\n0,0.000000000000e+00,\n")
 
 
-def test_mesh_h_driven_families(capsys):
-    # the step-driven families take their coarse step from --n: h = 1/n
-    code, out, _ = _run(capsys, "mesh", "--family", "gartland", "--eps", "1e-4",
-                        "--n", "5")
-    assert code == 0 and "n=5," in out and "# ratio" in out
-    code, out, _ = _run(capsys, "mesh", "--family", "duran-lombardi",
-                        "--eps", "1e-4", "--n", "64")
-    assert code == 0 and "duran_lombardi(eps=0.0001,n=64," in out
-    for flag in ("--kappa", "--q"):
-        code, _, err = _run(capsys, "mesh", "--family", "gartland", flag, "0.2")
-        assert code == 3 and "unrecognized arguments" in err
-    # n is the flag the user passed, so the error names n, not a step h
-    for family, who in (("gartland", "gartland"), ("duran-lombardi", "duran_lombardi")):
-        code, out, err = _run(capsys, "mesh", "--family", family, "--n", "1")
-        assert code == 3 and out == ""
-        assert f"{who} needs n >= 2 (coarse step 1/n), got n=1" in err
-
-
 # every mesh tag and the meshes function it builds; scalar families take the
 # one layer, shishkin as a one-layer system_shishkin
 _MESH_BUILDERS = {
@@ -82,9 +64,6 @@ _MESH_BUILDERS = {
     "bakhvalov-shishkin": lambda layers, n: meshes.bakhvalov_shishkin(layers[0], n),
     "bakhvalov-type": lambda layers, n: meshes.bakhvalov_type(layers[0], n),
     "bakhvalov": lambda layers, n: meshes.bakhvalov_original(layers[0], n),
-    "gartland": lambda layers, n: meshes.gartland(layers[0], n),
-    "duran-lombardi": lambda layers, n: meshes.duran_lombardi(layers[0], n),
-    "lambert": lambda layers, n: meshes.lambert_mesh(layers[0], n),
     "system-shishkin": lambda layers, n: meshes.system_shishkin(layers, n),
 }
 
@@ -123,6 +102,17 @@ def test_mesh_rejects_malformed_eps(capsys):
         code, out, err = _run(capsys, "mesh", "--family", family, "--eps", "1e-3,1e-4",
                               "--n", "8")
         assert code == 3 and out == "" and "takes 1 eps value, got 2" in err
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_non_finite_eps_is_config_error(eps, capsys):
+    code, out, err = _run(capsys, "mesh", "--family", "shishkin", "--eps", eps)
+    assert code == 3 and out == ""
+    assert f"eps must be finite and positive, got {eps}" in err
+    code, out, err = _run(capsys, "solve", "--problem", "scalar-cd", "--eps", eps,
+                          "--n", "16")
+    assert code == 3 and out == ""
+    assert err == f"error: eps must be finite and positive, got {eps}\n"
 
 
 def test_mesh_system_family_takes_eps_list(capsys):
@@ -188,12 +178,10 @@ def test_solve_reads_problem_json(tmp_path, capsys):
 
 
 def test_solve_accepts_every_mesh_tag(capsys):
-    problem, _ = problem_family("scalar-cd")()
     for tag in MESH_TAGS:
         code, out, _ = _run(capsys, "solve", "--mesh", tag, "--n", "16")
-        # one row per mesh node; the step-driven families set their own count
-        rows = len(mesh_family(tag)(problem, 16).points)
-        assert code == 0 and len(out.strip().splitlines()) == rows + 1
+        # a header and one row per node of the 16-cell mesh
+        assert code == 0 and len(out.strip().splitlines()) == 16 + 2
     code, _, err = _run(capsys, "solve", "--mesh", "graded")
     assert code == 3 and "invalid choice" in err
 

@@ -1,5 +1,6 @@
 """Sweep bookkeeping: records, uniform rates, C*, emission, study registry."""
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
@@ -14,6 +15,8 @@ from spbvp.harness import (
     CSV_HEADER,
     ConvergenceReport,
     ErrorRecord,
+    MESH_TAGS,
+    MESHES,
     PROBLEMS,
     RATE_TARGETS,
     STUDIES,
@@ -138,7 +141,7 @@ def test_error_record_validation():
         ErrorRecord(family="f", scheme="s", n=8, eps=(1e-3,), err_max=-1.0)
     with pytest.raises(ValueError, match="n must be"):
         ErrorRecord(family="f", scheme="s", n=0, eps=(1e-3,), err_max=0.0)
-    with pytest.raises(ValueError, match="eps values"):
+    with pytest.raises(ValueError, match="eps must be finite and positive, got 0.0"):
         ErrorRecord(family="f", scheme="s", n=8, eps=(0.0,), err_max=0.0)
     # failed cells may carry nan errors; scalar eps normalizes to a tuple
     rec = ErrorRecord(family="f", scheme="s", n=8, eps=1e-3, failure="boom")
@@ -683,6 +686,32 @@ def test_problem_families_reject_an_empty_eps_vector():
     for name in PROBLEMS:
         with pytest.raises(ValueError, match="at least one value"):
             problem_family(name)(())
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+def test_study_config_rejects_eps_that_is_not_finite_and_positive(eps):
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
+                    n_list=(16,), eps_list=((eps,),))
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        problem_family("reaction-diffusion")((1e-3, eps))
+
+
+@pytest.mark.parametrize("tag", MESH_TAGS)
+def test_every_mesh_tag_builds_exactly_n_cells(tag):
+    # sweep, the CSV N column, RATE_TARGETS and C* all read n as the cell count
+    for n, eps, side in itertools.product((8, 16, 64, 256), (1e-2, 1e-6, 1e-10),
+                                          ("left", "right")):
+        mesh = MESHES[tag]([LayerSpec(eps, side=side)], n)
+        assert mesh.n_cells == n, (n, eps, side)
+
+
+def test_failed_mesh_cell_reports_plain_float_widths():
+    rep = sweep(problem_family("scalar-cd"), mesh_family("shishkin"), "simple-upwind",
+                (256,), ((1e-15,),), family="shishkin")
+    (rec,) = rep.failures
+    assert "has width 0.0" in rec.failure and "np.float64" not in rec.failure
+    assert "np.float64" not in report_emit(rep, "json")
 
 
 def test_mesh_families_read_layer_data_off_the_problem():

@@ -19,10 +19,7 @@ from spbvp.meshes import (
     bakhvalov_shishkin,
     bakhvalov_type,
     diagnostics,
-    duran_lombardi,
     equidistribute,
-    gartland,
-    lambert_mesh,
     mirror,
     system_shishkin,
     uniform_mesh,
@@ -35,7 +32,7 @@ SHISHKIN_H_COARSE = 3.1224006980729024e-02
 BS_X1 = 6.248958607621524e-06  # -(2e-4)*log1p(-2*(63/64)/64)
 BTYPE_X32 = 2.7631021115928548e-05  # (2e-6)*ln(1e6) at eps=1e-6
 BAK_TAU = 0.49989980933138023  # bisection on the tangent-matching equation
-LAMBERT_X1 = 6.348429023799157e-06
+BAK_TAU_EPS1M8_G3_MU1 = 0.4999999983333332  # same equation, eps=1e-8, gamma=3, mu=1
 SYS_TAUS = (0.0, 9.128696382935673e-06, 9.128696382935673e-03, 1.0)
 
 EPS_SWEEP = (1.0, 1e-4, 1e-10)
@@ -181,14 +178,17 @@ def test_graded_fine_zone_transition_scales_with_eps():
 
 
 # ---------------------------------------------------------------------------
-# fully graded families
+# fully graded family
 # ---------------------------------------------------------------------------
 
 
 def test_tangent_matched_mesh_frozen_tau():
+    # bit for bit: the tangent solve's iteration path is part of the mesh
     m = bakhvalov_original(LayerSpec(eps=1e-4), 64)
-    assert m.meta["tau"] == pytest.approx(BAK_TAU, rel=1e-12)
+    assert m.meta["tau"] == BAK_TAU
     assert abs(m.meta["c1_residual"]) <= 1e-12
+    m = bakhvalov_original(LayerSpec(eps=1e-8, gamma=3.0, mu=1.0), 64)
+    assert m.meta["tau"] == BAK_TAU_EPS1M8_G3_MU1
 
 
 def test_tangent_matched_inversion_identity():
@@ -216,107 +216,18 @@ def test_tangent_matched_slope_is_continuous():
 
 
 def test_tangent_matched_wide_layer_degenerates():
-    m = bakhvalov_original(LayerSpec(eps=0.5), 8)
-    assert "degenerate" in m.meta
-    assert np.allclose(m.points, np.linspace(0.0, 1.0, 9), atol=1e-15)
+    # the second width_scale lies within 1e-12 of q = 1/2, where no root
+    # of the tangent equation leaves tau > 0
+    for eps in (0.5, 0.25 * (1.0 - 1e-14)):
+        m = bakhvalov_original(LayerSpec(eps=eps), 8)
+        assert "degenerate" in m.meta
+        assert np.allclose(m.points, np.linspace(0.0, 1.0, 9), atol=1e-15)
 
 
 def test_tangent_matched_small_eps_residual():
     for eps in (1e-6, 1e-10, 1e-12):
         m = bakhvalov_original(LayerSpec(eps=eps), 64)
         assert abs(m.meta["c1_residual"]) <= 1e-12
-
-
-def test_recursive_mesh_uniform_when_layer_is_wide():
-    m = gartland(LayerSpec(eps=1.0), 64)
-    assert m.n_cells == 64
-    assert np.allclose(m.spacings, 1.0 / 64, rtol=1e-12)
-
-
-def test_recursive_mesh_first_cell():
-    m = gartland(LayerSpec(eps=1e-4), 64)
-    assert m.points[1] == pytest.approx(1e-4 / 64, rel=1e-14)
-
-
-def test_recursive_capped_mesh_ratio_bound():
-    for eps in EPS_SWEEP:
-        for n in (8, 64, 512):
-            m = gartland(LayerSpec(eps=eps), n)
-            assert diagnostics(m).ratio <= math.e + 1e-12
-
-
-def test_recursive_growth_cap_cellwise():
-    m = gartland(LayerSpec(eps=1e-8), 64)
-    h = m.spacings
-    assert np.all(h[1:] <= math.e * h[:-1] * (1.0 + 1e-12))
-
-
-def test_recursive_mesh_rejects_bad_step():
-    with pytest.raises(ValueError, match=r"gartland needs n >= 2 \(coarse step 1/n\), got n=1"):
-        gartland(LayerSpec(eps=1e-4), 1)
-
-
-def test_geometric_mesh_first_point_and_ratio():
-    spec = LayerSpec(eps=1e-6)
-    m = duran_lombardi(spec, 32)
-    assert m.points[1] == pytest.approx(1e-6 / 32, rel=1e-14)
-    h = m.spacings
-    # width ratio settles to 1+h from the second cell on (the first ratio
-    # is h1/h0 = h); the merged terminal cell is excluded
-    inner = h[2:-1] / h[1:-2]
-    assert np.allclose(inner, 1.0 + 1.0 / 32, rtol=1e-12)
-
-
-def test_geometric_mesh_count_tracks_layer_strength():
-    got = duran_lombardi(LayerSpec(eps=1e-6), 32).n_cells
-    bound = 32 * math.log(1e6)
-    assert 0.5 * bound <= got <= 2.0 * bound
-
-
-def test_geometric_mesh_matches_independent_recursion_replay():
-    eps, h = 1e-5, 1.0 / 16
-    pts = [0.0]
-    x = h * eps
-    while x < 1.0:
-        pts.append(x)
-        x *= 1.0 + h
-    if 1.0 - pts[-1] < 0.5 * (pts[-1] - pts[-2]):
-        pts[-1] = 1.0
-    else:
-        pts.append(1.0)
-    m = duran_lombardi(LayerSpec(eps=eps), 16)
-    assert np.array_equal(m.points, np.array(pts))
-
-
-def test_geometric_mesh_rejects_coarse_step():
-    with pytest.raises(ValueError, match=r"duran_lombardi needs n >= 2 \(coarse step 1/n\), got n=1"):
-        duran_lombardi(LayerSpec(eps=1e-4), 1)
-
-
-def test_implicit_mesh_frozen_first_point():
-    m = lambert_mesh(LayerSpec(eps=1e-4), 64)
-    assert m.points[1] == pytest.approx(LAMBERT_X1, rel=1e-12)
-
-
-def test_implicit_mesh_node_residuals():
-    spec = LayerSpec(eps=1e-4)
-    m = lambert_mesh(spec, 64)
-    c = 1.0 / spec.width_scale
-    scale = m.meta["xi_scale"]
-    for i in range(65):
-        z = m.points[i] * scale
-        assert abs(z - math.exp(-c * z) + 1.0 - 2.0 * i / 64) < 1e-12
-
-
-def test_implicit_mesh_resolves_the_layer():
-    for eps in (1e-4, 1e-8):
-        m = lambert_mesh(LayerSpec(eps=eps), 64)
-        assert m.points[1] < 10.0 * eps
-
-
-def test_implicit_mesh_rejects_tiny_n():
-    with pytest.raises(ValueError):
-        lambert_mesh(LayerSpec(eps=1e-4), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +406,6 @@ FAMILIES = [
     bakhvalov_shishkin,
     bakhvalov_type,
     bakhvalov_original,
-    gartland,
-    duran_lombardi,
-    lambert_mesh,
 ]
 
 
@@ -512,7 +420,7 @@ def test_every_family_produces_valid_meshes(eps_exp, n, fam):
     m = FAMILIES[fam](spec, n)
     # Mesh1D construction enforces endpoints and monotonicity; check scale
     assert m.points[0] == 0.0 and m.points[-1] == 1.0
-    assert m.n_cells >= 2
+    assert m.n_cells == n
     assert np.all(m.spacings > 0.0)
 
 

@@ -355,6 +355,27 @@ def test_scalar_cd_rejects_bad_eps():
         builtin_scalar_cd(0.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_builtins_and_layers_reject_non_finite_eps(eps):
+    # nan passes "eps <= 0" and "residual > tol" checks alike; inf divides to nan
+    for build in (builtin_scalar_cd, builtin_strongly_coupled_example,
+                  builtin_strongly_coupled_variable):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            build(eps)
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        builtin_weakly_coupled_cd((1e-3, eps))
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        LayerSpec(eps)
+
+
+def test_closed_form_builtins_refuse_eps_where_u_second_derivative_overflows():
+    # eps**-2 overflows below about 1e-154; the self-check used to pass on nan
+    with np.errstate(all="ignore"):
+        for build in (builtin_scalar_cd, builtin_strongly_coupled_variable):
+            with pytest.raises(ValueError, match="not finite in float64 at eps = 1e-200"):
+                build(1e-200)
+
+
 def test_strongly_coupled_reference_values():
     prob, ref = builtin_strongly_coupled_example(1e-6)
     vals = ref(np.array([0.0, 0.5, 1.0]))

@@ -1,4 +1,5 @@
-"""The README's library quickstart runs as written and prints what it says."""
+"""The README runs as written: its library quickstart prints what it says,
+and its mesh tag list is the package's."""
 import ast
 import contextlib
 import io
@@ -6,6 +7,8 @@ import pathlib
 import re
 
 import pytest
+
+from spbvp.harness import MESH_TAGS
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +26,12 @@ def test_readme_quickstart_runs_and_prints_first_order_rates():
     assert len(rates) == 4 and all(0.9 <= r <= 1.1 for r in rates)
     assert float(spread) == pytest.approx(1.0, abs=0.01)
     assert csv_header.startswith("family,scheme,N,eps,")
+
+
+def test_readme_lists_exactly_the_mesh_tags():
+    # the tag list of the paragraph that begins "`MESHES` holds", in order;
+    # parenthesised remarks name functions, not tags
+    text = README.read_text(encoding="utf-8")
+    para = re.search(r"^`MESHES` holds.*?(?:\n\n|\Z)", text, re.S | re.M).group(0)
+    listing = re.sub(r"\([^)]*\)", "", para.split("with n:", 1)[1]).split(".", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", listing)) == MESH_TAGS
