@@ -27,7 +27,6 @@ from .meshes import (
     bakhvalov_shishkin,
     bakhvalov_type,
     diagnostics,
-    equidistribute,
     mirror,
     system_shishkin,
     uniform_mesh,
@@ -56,7 +55,6 @@ from .schemes import (
     DiscreteSolution,
     assemble,
     discrete_solve,
-    energy_norm,
     energy_norm_error,
     solve,
     solve_many,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "bakhvalov_shishkin",
     "bakhvalov_type",
     "bakhvalov_original",
-    "equidistribute",
     "system_shishkin",
     "mirror",
     "diagnostics",
@@ -107,10 +106,14 @@ class LayerSpec:
 
     def __post_init__(self) -> None:
         check_eps(self.eps)
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu!r}")
+        # a width that overflows is fine (every family clamps it to uniform);
+        # one that underflows to 0 would collapse the layer cells
+        if not (0.0 < self.gamma < math.inf and 0.0 < self.mu < math.inf
+                and self.width_scale > 0.0):
+            raise ValueError(
+                "gamma and mu must be finite and positive with mu*eps/gamma > 0, "
+                f"got gamma={self.gamma!r}, mu={self.mu!r}, eps={self.eps!r}"
+            )
         if self.side not in ("left", "right", "both"):
             raise ValueError(f"side must be left, right or both, got {self.side!r}")
 
@@ -309,98 +312,6 @@ def bakhvalov_original(spec: LayerSpec, n: int) -> Mesh1D:
     return _oriented(pts, spec.side, label, meta)
 
 
-def _monitor_values(monitor: Callable, grid: np.ndarray) -> np.ndarray:
-    out = monitor(grid)
-    vals = np.asarray(out, dtype=float)
-    if vals.shape != grid.shape:  # scalar-only monitor
-        vals = np.array([float(monitor(s)) for s in grid])
-    if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-        raise ValueError("monitor must be positive and finite on [0, 1]")
-    return vals
-
-
-def equidistribute(
-    monitor: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    max_iter: int = 48,
-    tol: float = 1e-8,
-    max_points: int = 300_000,
-) -> Mesh1D:
-    """Equidistribute a positive monitor function over n cells.
-
-    Iterated inversion of the cumulative trapezoid integral on a background
-    grid: each pass inverts the piecewise-quadratic cumulative exactly
-    (monotone within every cell), measures the residual
-    max_i |I_i - mean|/mean on the union of background and mesh points, and
-    bisects the background cells whose trapezoid defect still pollutes that
-    measure.  meta records iterations, residual, and a converged flag;
-    non-convergence returns the best mesh found with converged=False.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one cell, got n={n}")
-    if max_iter < 1:
-        raise ValueError(f"need max_iter >= 1, got {max_iter}")
-    bg = np.linspace(0.0, 1.0, max(4 * n, 256) + 1)
-    vals = _monitor_values(monitor, bg)
-    best_pts: np.ndarray | None = None
-    best_res, best_it = math.inf, 0
-    for it in range(1, max_iter + 1):
-        w = np.diff(bg)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * w)])
-        total = float(cum[-1])
-        targets = total * np.arange(1, n) / n
-        j = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(w) - 1)
-        t_loc = targets - cum[j]
-        m_j = vals[j]
-        slope = (vals[j + 1] - vals[j]) / w[j]
-        disc = np.sqrt(np.maximum(m_j * m_j + 2.0 * slope * t_loc, 0.0))
-        d = 2.0 * t_loc / (m_j + disc)
-        pts = np.empty(n + 1)
-        pts[0], pts[-1] = 0.0, 1.0
-        pts[1:-1] = bg[j] + np.clip(d, 0.0, w[j])
-        if np.any(np.diff(pts) <= 0.0):
-            raise ValueError(
-                f"monitor contrast exceeds float resolution for n={n} cells"
-            )
-        union = np.unique(np.concatenate([bg, pts]))
-        vu = _monitor_values(monitor, union)
-        cum_u = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (vu[1:] + vu[:-1]) * np.diff(union))]
-        )
-        masses = np.diff(cum_u[np.searchsorted(union, pts)])
-        mean = float(cum_u[-1]) / n
-        res = float(np.max(np.abs(masses - mean)) / mean)
-        if res < best_res:
-            best_pts, best_res, best_it = pts, res, it
-        if res <= tol or it == max_iter or len(bg) >= max_points:
-            break
-        mid = 0.5 * (bg[:-1] + bg[1:])
-        v_mid = _monitor_values(monitor, mid)
-        defect = np.abs(0.5 * (vals[:-1] + vals[1:]) - v_mid) * w / 3.0
-        worst = float(np.max(defect))
-        if worst == 0.0:
-            break  # trapezoid already exact on this background
-        thresh = max(tol * total / (n * len(bg)), 0.0)
-        bad = defect > thresh
-        if not np.any(bad):
-            bad = defect >= 0.5 * worst
-        room = max_points - len(bg)
-        if int(np.sum(bad)) > room:
-            order = np.argsort(defect)[::-1][:room]
-            keep = np.zeros_like(bad)
-            keep[order] = True
-            bad &= keep
-        bg = np.sort(np.concatenate([bg, mid[bad]]))
-        vals = _monitor_values(monitor, bg)
-    converged = best_res <= tol
-    label = f"equidistributed(n={n})"
-    return _mesh(
-        best_pts,
-        label,
-        {"iterations": best_it, "residual": best_res, "converged": converged},
-    )
-
-
 def system_shishkin(layers: tuple[LayerSpec, ...] | list[LayerSpec], n: int) -> Mesh1D:
     """Piecewise-uniform Shishkin mesh for one or several layer widths.
 
@@ -451,24 +362,12 @@ def system_shishkin(layers: tuple[LayerSpec, ...] | list[LayerSpec], n: int) -> 
 
 
 def mirror(mesh: Mesh1D) -> Mesh1D:
-    """Reflect a mesh about x = 1/2.
-
-    Mirroring an already-mirrored mesh restores the original points
-    bit-for-bit (the source array is retained), so the operation is an exact
-    involution.
-    """
-    if "_mirror_src" in mesh.meta:
-        src = mesh.meta["_mirror_src"]
-        label = mesh.meta.get("_mirror_src_label", mesh.label)
-        meta = {k: v for k, v in mesh.meta.items() if not k.startswith("_mirror_src")}
-        return Mesh1D(points=np.array(src), label=str(label), meta=meta)
+    """Reflect a mesh about x = 1/2: points 1 - x in reverse order, with
+    exact endpoints."""
     pts = 1.0 - mesh.points[::-1]
     pts[0] = 0.0
     pts[-1] = 1.0
-    meta = dict(mesh.meta)
-    meta["_mirror_src"] = mesh.points
-    meta["_mirror_src_label"] = mesh.label
-    return Mesh1D(points=pts, label=f"mirror({mesh.label})", meta=meta)
+    return Mesh1D(points=pts, label=f"mirror({mesh.label})", meta=dict(mesh.meta))
 
 
 def diagnostics(mesh: Mesh1D) -> MeshDiagnostics:

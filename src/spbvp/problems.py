@@ -124,6 +124,8 @@ class SystemProblem:
             raise ValueError(f"eps must be {self.m} values, got {self.eps}")
         for e in self.eps:
             check_eps(e)
+            if self.kind == "reaction-diffusion" and not math.isfinite(float(e) * float(e)):
+                raise ValueError(f"reaction-diffusion needs a finite eps^2, got eps {float(e)!r}")
         mm = (self.m, self.m)
         if self.a.shape != mm:
             raise ValueError(f"reaction coefficient must have shape {mm}")
@@ -458,17 +460,17 @@ def builtin_scalar_cd(eps: float = 1e-6) -> tuple[SystemProblem, ReferenceSoluti
     """
     check_eps(eps)
     den = -math.expm1(-1.0 / eps)  # 1 - e^{-1/eps}, safe for all eps
-    tail = math.exp(-1.0 / eps)
 
     def u(x: np.ndarray) -> np.ndarray:
         w = np.exp(-(1.0 - x) / eps)
-        return (x - (w - tail) / den)[:, None]
+        # w - e^{-1/eps} without the cancellation that large eps brings
+        return (x - w * -np.expm1(-x / eps) / den)[:, None]
 
     def du(x: np.ndarray, order: int) -> np.ndarray:
         w = np.exp(-(1.0 - x) / eps)
         if order == 1:
             return (1.0 - w / (eps * den))[:, None]
-        return (-w / (eps * eps * den))[:, None]
+        return (-w / (eps * (eps * den)))[:, None]
 
     xs = np.linspace(0.0, 1.0, 1000)
     up = du(xs, 1)[:, 0]

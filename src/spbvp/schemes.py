@@ -28,7 +28,6 @@ __all__ = [
     "solve",
     "solve_many",
     "discrete_solve",
-    "energy_norm",
     "energy_norm_error",
 ]
 
@@ -472,22 +471,6 @@ def discrete_solve(
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
-
-
-def energy_norm(mesh: Mesh1D, v: np.ndarray, eps) -> float:
-    """Energy norm of the piecewise-linear interpolant of nodal data v:
-    sum_k eps_k |v_k|_1^2 + ||v_k||_0^2, rooted.  Closed-form per cell."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape[0] != len(mesh.points):
-        raise ValueError(f"nodal data must have {len(mesh.points)} rows, got {v.shape}")
-    eps_arr = np.broadcast_to(np.asarray(eps, dtype=float).ravel(), (v.shape[1],))
-    h = mesh.spacings[:, None]
-    dv = np.diff(v, axis=0)
-    semi = np.sum(dv * dv / h, axis=0)
-    l2 = np.sum(h / 3.0 * (v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2), axis=0)
-    return float(math.sqrt(float(np.sum(eps_arr * semi + l2))))
 
 
 def energy_norm_error(

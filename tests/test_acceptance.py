@@ -25,7 +25,6 @@ from spbvp.meshes import (
     bakhvalov_original,
     bakhvalov_shishkin,
     bakhvalov_type,
-    equidistribute,
     system_shishkin,
     uniform_mesh,
 )
@@ -205,7 +204,6 @@ def _mesh_zoo(eps: float, n: int):
     yield "bakhvalov-shishkin", bakhvalov_shishkin(spec, n)
     yield "bakhvalov-type", bakhvalov_type(spec, n)
     yield "bakhvalov-original", bakhvalov_original(spec, n)
-    yield "equidistributed", equidistribute(lambda s: np.ones_like(s), n)
     yield "system-shishkin", system_shishkin([LayerSpec(eps)], n)
     yield "system-shishkin-mirrored", system_shishkin([LayerSpec(eps, side="both")], n)
     n2 = 6 * ((n + 5) // 6)  # two-eps mirrored mesh needs n divisible by 6
@@ -221,10 +219,6 @@ def test_mesh_invariants_across_eps_and_resolution():
                 where = f"{name} eps={eps:g} n={n}"
                 assert mesh.points[0] == 0.0 and mesh.points[-1] == 1.0, where
                 assert np.all(np.diff(mesh.points) > 0.0), where
-
-            # uniform monitor equidistributes to the stated residual
-            m = equidistribute(lambda s: np.ones_like(s), n)
-            assert m.meta["residual"] <= 1e-8
 
     for n in N_GRID:
         for eps in (1e-4, 1e-10):

@@ -115,6 +115,33 @@ def test_non_finite_eps_is_config_error(eps, capsys):
     assert err == f"error: eps must be finite and positive, got {eps}\n"
 
 
+@pytest.mark.parametrize("args", [
+    ("--mu", "inf"),
+    ("--gamma", "inf"),  # the width mu*eps/gamma would be 0
+    ("--family", "bakhvalov", "--mu", "1e-300", "--eps", "1e-300"),  # width underflows
+])
+def test_mesh_rejects_infinite_gamma_mu_and_vanishing_width(args, capsys):
+    code, out, err = _run(capsys, "mesh", *args)
+    assert code == 3 and out == ""
+    assert "gamma and mu must be finite and positive with mu*eps/gamma > 0" in err
+
+
+def test_solve_scalar_cd_at_huge_eps_is_the_zero_limit(capsys):
+    # eps * eps overflows here, so u'' must be formed without it
+    code, out, err = _run(capsys, "solve", "--problem", "scalar-cd", "--eps", "1e300",
+                          "--n", "16")
+    assert code == 0 and err == ""
+    assert max(abs(float(row.split(",")[1])) for row in out.splitlines()[1:]) < 1e-300
+
+
+def test_solve_reaction_diffusion_with_overflowing_eps_squared_is_config_error(capsys):
+    code, out, err = _run(capsys, "solve", "--problem", "reaction-diffusion",
+                          "--eps", "1e156,1e156", "--n", "24", "--mesh", "system-shishkin",
+                          "--scheme", "central")
+    assert code == 3 and out == ""
+    assert err == "error: reaction-diffusion needs a finite eps^2, got eps 1e+156\n"
+
+
 def test_mesh_system_family_takes_eps_list(capsys):
     code, out, _ = _run(capsys, "mesh", "--family", "system-shishkin",
                         "--eps", "1e-6,1e-3", "--n", "12")

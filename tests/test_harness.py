@@ -706,6 +706,16 @@ def test_every_mesh_tag_builds_exactly_n_cells(tag):
         assert mesh.n_cells == n, (n, eps, side)
 
 
+@pytest.mark.parametrize("tag", MESH_TAGS)
+def test_every_mesh_meta_is_json_ready(tag):
+    # eps = 0.3 makes the graded families degenerate to uniform
+    for eps, side in itertools.product((1e-2, 1e-6, 1e-10, 0.3), ("left", "right", "both")):
+        if tag == "bakhvalov" and side == "both":
+            continue  # one-sided family; it refuses side='both'
+        mesh = MESHES[tag]([LayerSpec(eps, side=side)], 64)
+        json.dumps(dict(mesh.meta))
+
+
 def test_failed_mesh_cell_reports_plain_float_widths():
     rep = sweep(problem_family("scalar-cd"), mesh_family("shishkin"), "simple-upwind",
                 (256,), ((1e-15,),), family="shishkin")

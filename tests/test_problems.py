@@ -326,14 +326,19 @@ def test_scalar_cd_against_sympy_oracle():
     u = x - (w - sp.exp(-1 / e)) / (1 - sp.exp(-1 / e))
     resid = sp.simplify(-e * u.diff(x, 2) + u.diff(x) - 1)
     assert resid == 0
-    for eps in (0.1, 1e-3):
+    mpmath = pytest.importorskip("mpmath")
+    for eps in (0.1, 1e-3, 1e4, 1e8, 1e16, 1e300):
         # mpmath evaluation: float64 overflows once sympy rewrites the decaying
-        # exponential as tiny * exp(+x/eps)
-        fn = sp.lambdify(x, u.subs(e, sp.Float(eps, 30)), "mpmath")
+        # exponential as tiny * exp(+x/eps), and for large eps u is the
+        # difference of two exponentials within ~1/eps of 1, so the working
+        # precision grows with log10(eps)
+        digits = 40 + max(0, math.ceil(math.log10(eps)))
+        with mpmath.workdps(digits):
+            fn = sp.lambdify(x, u.subs(e, sp.Float(eps, digits)), "mpmath")
+            xs = np.linspace(0.0, 1.0, 23)
+            oracle = np.array([float(fn(t)) for t in xs])
         _, ref = builtin_scalar_cd(eps)
-        xs = np.linspace(0.0, 1.0, 23)
-        oracle = np.array([float(fn(t)) for t in xs])
-        np.testing.assert_allclose(ref(xs)[:, 0], oracle, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(ref(xs)[:, 0], oracle, rtol=0.0, atol=1e-15, err_msg=f"{eps}")
 
 
 def test_scalar_cd_derivatives_match_difference_quotients():

@@ -26,7 +26,6 @@ from spbvp.schemes import (
     apply,
     assemble,
     discrete_solve,
-    energy_norm,
     energy_norm_error,
     solve,
     solve_many,
@@ -39,7 +38,6 @@ SIGMA_8 = 8.0000018005629981
 SIGMA_1E6 = 1.0000000000003333
 FITTED_DIAG = 1.7914736550764334  # (sigma(25/32) + sigma(75/32)) / 2, mpmath
 FITTED_OFF = 0.59584800859150412  # (sigma(75/32) - sigma(25/32)) / 2
-ENERGY_X_EPS1 = 1.1547005383792515  # sqrt(4/3): |x|_E with eps = 1
 ENERGY_ERR_XSQ = 0.14478791961578378  # sqrt(161/7680): x^2 interp on 4 cells, eps=1
 
 
@@ -515,26 +513,6 @@ def test_upwind_reproduces_linears_when_reaction_vanishes():
 
 # ---------------------------------------------------------------------------
 # energy norms
-
-
-def test_energy_norm_frozen_value_for_identity_data():
-    mesh = uniform_mesh(7)
-    v = mesh.points.copy()
-    assert math.isclose(energy_norm(mesh, v, 1.0), ENERGY_X_EPS1, rel_tol=1e-14)
-    pts = np.array([0.0, 0.2, 0.3, 0.7, 1.0])
-    crooked = dataclasses.replace(uniform_mesh(4), points=pts)
-    assert math.isclose(
-        energy_norm(crooked, pts.copy(), 1.0), ENERGY_X_EPS1, rel_tol=1e-14
-    )
-
-
-def test_energy_norm_homogeneous_and_zero():
-    mesh = uniform_mesh(9)
-    v = np.sin(2.1 * mesh.points)
-    assert energy_norm(mesh, np.zeros_like(v), 1e-3) == 0.0
-    assert math.isclose(
-        energy_norm(mesh, 3.0 * v, 1e-3), 3.0 * energy_norm(mesh, v, 1e-3), rel_tol=1e-13
-    )
 
 
 def test_energy_norm_error_frozen_quadratic_interpolation_constant():
