@@ -23,7 +23,6 @@ from .meshes import (
     LayerSpec,
     Mesh1D,
     MeshDiagnostics,
-    bakhvalov_original,
     bakhvalov_shishkin,
     bakhvalov_type,
     diagnostics,

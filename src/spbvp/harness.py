@@ -21,7 +21,6 @@ import numpy as np
 from .meshes import (
     LayerSpec,
     Mesh1D,
-    bakhvalov_original,
     bakhvalov_shishkin,
     bakhvalov_type,
     check_eps,
@@ -203,6 +202,7 @@ class ConvergenceReport:
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"n_list must increase strictly, got {self.n_list}")
         _check_selectors(self.target, self.norm)
+        _check_eps_labels(self.eps_list)
         want = len(self.n_list) * len(self.eps_list)
         if len(self.records) != want:
             raise ValueError(
@@ -367,6 +367,7 @@ def sweep(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"n_list must increase strictly, got {ns}")
     _check_selectors(target, norm)
+    _check_eps_labels(epss)
     pairs = [problem_family(e) for e in epss]
     bare = [ref.kind for _, ref in pairs if ref.derivative_fn is None]
     if norm == "energy" and bare:
@@ -440,6 +441,17 @@ def _fmt(v: float | None) -> str:
 
 def _fmt_eps(eps: tuple[float, ...]) -> str:
     return ";".join(f"{e:.6e}" for e in eps)
+
+
+def _check_eps_labels(eps_list: Sequence[tuple[float, ...]]) -> None:
+    """Refuse eps vectors that print alike: CSV rows and the JSON
+    c_star_by_eps keys tell cells apart only by their _fmt_eps label."""
+    seen = set()
+    for eps in eps_list:
+        label = _fmt_eps(eps)
+        if label in seen:
+            raise ValueError(f"eps vectors must print differently; {label} appears twice")
+        seen.add(label)
 
 
 def _json_num(v: float | None):
@@ -613,7 +625,6 @@ MESHES: dict[str, Callable[[Sequence[LayerSpec], int], Mesh1D]] = {
     "shishkin": lambda layers, n: system_shishkin([_one_layer(layers)], n),
     "bakhvalov-shishkin": lambda layers, n: bakhvalov_shishkin(_one_layer(layers), n),
     "bakhvalov-type": lambda layers, n: bakhvalov_type(_one_layer(layers), n),
-    "bakhvalov": lambda layers, n: bakhvalov_original(_one_layer(layers), n),
     "system-shishkin": lambda layers, n: system_shishkin(layers, n),
 }
 

@@ -3,8 +3,7 @@
 Every family is one function of (LayerSpec, n) and builds exactly n cells:
 ``uniform_mesh`` reads no layer, ``system_shishkin`` builds the
 piecewise-uniform Shishkin mesh for one or several layers, and the graded
-families (``bakhvalov_shishkin``, ``bakhvalov_type``,
-``bakhvalov_original``) take the one layer.
+families (``bakhvalov_shishkin``, ``bakhvalov_type``) take the one layer.
 
 All constructors build the canonical orientation with the boundary layer at
 x = 0, and ``_oriented`` is the one place that turns those points into a
@@ -36,7 +35,6 @@ __all__ = [
     "uniform_mesh",
     "bakhvalov_shishkin",
     "bakhvalov_type",
-    "bakhvalov_original",
     "system_shishkin",
     "mirror",
     "diagnostics",
@@ -228,88 +226,6 @@ def bakhvalov_type(spec: LayerSpec, n: int) -> Mesh1D:
     # instead of routing through fl(1-eps), which costs ~eps^-1 ulps.
     fine[-1] = a * -math.log(spec.eps)
     return _layer_mesh(fine, n, spec.side, label)
-
-
-# ---------------------------------------------------------------------------
-# fully graded family
-# ---------------------------------------------------------------------------
-
-
-def bakhvalov_original(spec: LayerSpec, n: int) -> Mesh1D:
-    """Mesh from the generating function -width_scale*ln(1 - t/q), q = 1/2,
-    with a C^1 tangent extension.
-
-    The switch point tau solves phi'(tau)*(1 - tau) = 1 - phi(tau), which
-    makes the tangent hit (1, 1).  The root is found in the rescaled
-    variable s = (q - tau)/width_scale so the residual tolerance 1e-13 is
-    meaningful for arbitrarily small eps.  Without a root (wide layers) the
-    mesh degenerates to uniform.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if spec.side == "both":
-        raise ValueError("bakhvalov_original supports side='left' or 'right' only")
-    label = f"bakhvalov(eps={spec.eps:g},n={n},side={spec.side})"
-    q, a = 0.5, spec.width_scale
-
-    # C^1 matching in s: residual(s) = (1-q)/s + a - 1 - a*ln(a*s/q).
-    def g(s: float) -> float:
-        return (1.0 - q) / s + a - 1.0 - a * math.log(a * s / q)
-
-    def gp(s: float) -> float:
-        return -(1.0 - q) / (s * s) - a / s
-
-    s_hi = q / a  # tau = 0
-    hi = s_hi * (1.0 - 1e-12)
-    # g(s_hi) = a/q - 1, so within 1e-12 of a = q no root leaves tau > 0
-    if a >= q or g(hi) >= 0.0:
-        mesh = uniform_mesh(n, label)
-        mesh.meta["degenerate"] = "mesh degenerates to uniform (layer too wide)"
-        return mesh
-    lo = min(1.0, 0.5 * s_hi)
-    while g(lo) <= 0.0:
-        lo *= 0.1
-        if lo < 1e-280:
-            raise RuntimeError("no bracket for the tangent-matching equation")
-    # g is decreasing and convex with g(lo) > 0 > g(hi): Newton from the
-    # bracket midpoint, kept only strictly inside the bracket, else bisection.
-    s = 0.5 * (lo + hi)
-    for _ in range(200):
-        gs = g(s)
-        if abs(gs) <= 1e-13:
-            break
-        if gs > 0.0:
-            lo = s
-        else:
-            hi = s
-        s_new = s - gs / gp(s)
-        if not lo < s_new < hi:
-            s_new = 0.5 * (lo + hi)
-        if not lo < s_new < hi:
-            break  # the bracket collapsed to float resolution
-        s = s_new
-    if not abs(gs) <= 1e-13:
-        raise RuntimeError(f"tangent-matching iteration stalled at residual {gs!r}")
-    tau = q - a * s
-    phi_tau = -a * math.log(a * s / q)
-    slope = 1.0 / s
-
-    t = np.arange(n + 1) / n
-    pts = np.where(
-        t <= tau,
-        -a * np.log1p(-np.minimum(t, tau) / q),
-        phi_tau + slope * (t - tau),
-    )
-    pts[0] = 0.0
-    residual_at_one = float(pts[-1] - 1.0)
-    pts[-1] = 1.0
-    meta = {
-        "tau": float(tau),
-        "tangent_slope": float(slope),
-        "c1_residual": float(g(s)),
-        "endpoint_defect": residual_at_one,
-    }
-    return _oriented(pts, spec.side, label, meta)
 
 
 def system_shishkin(layers: tuple[LayerSpec, ...] | list[LayerSpec], n: int) -> Mesh1D:

@@ -22,7 +22,6 @@ from spbvp import linalg
 from spbvp.linalg import BlockTridiag, block_thomas
 from spbvp.meshes import (
     LayerSpec,
-    bakhvalov_original,
     bakhvalov_shishkin,
     bakhvalov_type,
     system_shishkin,
@@ -203,7 +202,6 @@ def _mesh_zoo(eps: float, n: int):
     yield "uniform", uniform_mesh(n)
     yield "bakhvalov-shishkin", bakhvalov_shishkin(spec, n)
     yield "bakhvalov-type", bakhvalov_type(spec, n)
-    yield "bakhvalov-original", bakhvalov_original(spec, n)
     yield "system-shishkin", system_shishkin([LayerSpec(eps)], n)
     yield "system-shishkin-mirrored", system_shishkin([LayerSpec(eps, side="both")], n)
     n2 = 6 * ((n + 5) // 6)  # two-eps mirrored mesh needs n divisible by 6
@@ -220,15 +218,21 @@ def test_mesh_invariants_across_eps_and_resolution():
                 assert mesh.points[0] == 0.0 and mesh.points[-1] == 1.0, where
                 assert np.all(np.diff(mesh.points) > 0.0), where
 
+    # graded nodes invert the layer function exactly: x_i = -a ln(1 - c t_i)
+    # on the first k + 1 nodes, t_i = i/(2k).  side='right' is left out: its
+    # nodes near x = 1 sit on the float64 spacing floor (ROADMAP item 2).
     for n in N_GRID:
         for eps in (1e-4, 1e-10):
-            # graded nodes invert the layer function exactly
-            spec = LayerSpec(eps=eps)
-            mesh = bakhvalov_original(spec, n)
-            t = np.arange(n + 1) / n
-            fine = t <= mesh.meta["tau"]
-            lhs = 0.5 * -np.expm1(-mesh.points[fine] / spec.width_scale)
-            assert np.max(np.abs(lhs - t[fine])) <= 1e-12, (eps, n)
+            for side in ("left", "both"):
+                spec = LayerSpec(eps=eps, side=side)
+                k = n // 4 if side == "both" else n // 2
+                t = np.arange(k + 1) / (2 * k)
+                for build, c in ((bakhvalov_type, 2.0 * (1.0 - eps)),
+                                 (bakhvalov_shishkin, 2.0 * (1.0 - 1.0 / n))):
+                    mesh = build(spec, n)
+                    assert "degenerate" not in mesh.meta, (build, eps, n, side)
+                    lhs = -np.expm1(-mesh.points[: k + 1] / spec.width_scale) / c
+                    assert np.max(np.abs(lhs - t)) <= 1e-12, (build, eps, n, side)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ _MESH_BUILDERS = {
     "shishkin": lambda layers, n: meshes.system_shishkin(layers[:1], n),
     "bakhvalov-shishkin": lambda layers, n: meshes.bakhvalov_shishkin(layers[0], n),
     "bakhvalov-type": lambda layers, n: meshes.bakhvalov_type(layers[0], n),
-    "bakhvalov": lambda layers, n: meshes.bakhvalov_original(layers[0], n),
     "system-shishkin": lambda layers, n: meshes.system_shishkin(layers, n),
 }
 
@@ -118,7 +117,7 @@ def test_non_finite_eps_is_config_error(eps, capsys):
 @pytest.mark.parametrize("args", [
     ("--mu", "inf"),
     ("--gamma", "inf"),  # the width mu*eps/gamma would be 0
-    ("--family", "bakhvalov", "--mu", "1e-300", "--eps", "1e-300"),  # width underflows
+    ("--family", "bakhvalov-type", "--mu", "1e-300", "--eps", "1e-300"),  # width underflows
 ])
 def test_mesh_rejects_infinite_gamma_mu_and_vanishing_width(args, capsys):
     code, out, err = _run(capsys, "mesh", *args)
@@ -564,6 +563,33 @@ def test_eps_vector_on_single_eps_problem_is_config_error(tmp_path, capsys):
     code, out, err = _run(capsys, "study", "--config", str(path))
     assert code == 3 and out == ""
     assert "takes 1 eps value" in err
+
+
+def test_study_eps_vectors_that_print_alike_exit_3(tmp_path, capsys):
+    cfg = {"problem": "scalar-cd", "scheme": "simple-upwind", "mesh": "shishkin",
+           "N_list": [32, 64], "eps_list": [[1e-4], [1.0000001e-4], [1e-4]]}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "study", "--config", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: eps vectors must print differently; 1.000000e-04 appears twice\n"
+
+
+def test_retired_bakhvalov_tag_is_refused_everywhere(tmp_path, capsys):
+    for argv in (("mesh", "--family", "bakhvalov"), ("solve", "--mesh", "bakhvalov")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 3 and out == "" and "invalid choice: 'bakhvalov'" in err, argv
+        assert all(f"'{tag}'" in err for tag in MESH_TAGS), argv
+    known = "known: uniform, shishkin, bakhvalov-shishkin, bakhvalov-type, system-shishkin"
+    cfg = {"problem": "scalar-cd", "scheme": "simple-upwind", "mesh": "bakhvalov",
+           "N_list": [16, 32], "eps_list": [1e-4]}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = _run(capsys, "study", "--config", str(path))
+    assert code == 3 and out == ""
+    assert err == f"error: unknown mesh family 'bakhvalov'; {known}\n"
+    with pytest.raises(ValueError, match=f"unknown mesh family 'bakhvalov'; {known}$"):
+        mesh_family("bakhvalov")
 
 
 def test_usage_errors_exit_3(capsys):

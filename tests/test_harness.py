@@ -506,6 +506,30 @@ def test_json_round_trip_keeps_failures():
     assert math.isnan(back.failures[0].err_max)
 
 
+def test_eps_vectors_that_print_alike_are_refused():
+    # CSV rows and JSON c_star_by_eps keys name a cell by its printed eps, so
+    # two vectors with one label would merge in the report
+    alike = ((1e-4,), (1.0000001e-4,), (1e-4,))
+    built = []
+
+    def family(eps):
+        built.append(eps)
+        return problem_family("scalar-cd")(eps)
+
+    with pytest.raises(ValueError, match="1.000000e-04 appears twice"):
+        sweep(family, mesh_family("shishkin"), "simple-upwind", (32, 64), alike)
+    assert built == []  # refused before any problem is built
+    rep = sweep(problem_family("scalar-cd"), mesh_family("shishkin"), "simple-upwind",
+                (32, 64), ((1e-4,), (1e-6,)))
+    # a report rebuilt from edited JSON runs the same check
+    data = json.loads(report_emit(rep, "json"))
+    data["eps_list"][1] = [1.0000001e-4]
+    for r in data["records"][1::2]:
+        r["eps"] = [1.0000001e-4]
+    with pytest.raises(ValueError, match="1.000000e-04 appears twice"):
+        report_from_json(json.dumps(data))
+
+
 def _csv_rates(text: str, column: str) -> dict[int, str]:
     header, *rows = text.splitlines()
     cols = header.split(",")
@@ -700,8 +724,8 @@ def test_study_config_rejects_eps_that_is_not_finite_and_positive(eps):
 @pytest.mark.parametrize("tag", MESH_TAGS)
 def test_every_mesh_tag_builds_exactly_n_cells(tag):
     # sweep, the CSV N column, RATE_TARGETS and C* all read n as the cell count
-    for n, eps, side in itertools.product((8, 16, 64, 256), (1e-2, 1e-6, 1e-10),
-                                          ("left", "right")):
+    for n, eps, side in itertools.product((8, 16, 64, 256), (1e-2, 1e-6, 1e-10, 0.3),
+                                          ("left", "right", "both")):
         mesh = MESHES[tag]([LayerSpec(eps, side=side)], n)
         assert mesh.n_cells == n, (n, eps, side)
 
@@ -710,8 +734,6 @@ def test_every_mesh_tag_builds_exactly_n_cells(tag):
 def test_every_mesh_meta_is_json_ready(tag):
     # eps = 0.3 makes the graded families degenerate to uniform
     for eps, side in itertools.product((1e-2, 1e-6, 1e-10, 0.3), ("left", "right", "both")):
-        if tag == "bakhvalov" and side == "both":
-            continue  # one-sided family; it refuses side='both'
         mesh = MESHES[tag]([LayerSpec(eps, side=side)], 64)
         json.dumps(dict(mesh.meta))
 

@@ -2,8 +2,7 @@
 invariants.
 
 The frozen constants below were computed with independent high-precision
-oracles (mpmath / brute-force bisection / recursion replay) before the mesh
-code was written.
+oracles (mpmath / recursion replay) before the mesh code was written.
 """
 
 import math
@@ -15,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from spbvp.meshes import (
     LayerSpec,
     Mesh1D,
-    bakhvalov_original,
     bakhvalov_shishkin,
     bakhvalov_type,
     diagnostics,
@@ -30,8 +28,6 @@ SHISHKIN_H_FINE = 2.5993019270997948e-05
 SHISHKIN_H_COARSE = 3.1224006980729024e-02
 BS_X1 = 6.248958607621524e-06  # -(2e-4)*log1p(-2*(63/64)/64)
 BTYPE_X32 = 2.7631021115928548e-05  # (2e-6)*ln(1e6) at eps=1e-6
-BAK_TAU = 0.49989980933138023  # bisection on the tangent-matching equation
-BAK_TAU_EPS1M8_G3_MU1 = 0.4999999983333332  # same equation, eps=1e-8, gamma=3, mu=1
 SYS_TAUS = (0.0, 9.128696382935673e-06, 9.128696382935673e-03, 1.0)
 
 EPS_SWEEP = (1.0, 1e-4, 1e-10)
@@ -184,59 +180,6 @@ def test_graded_fine_zone_transition_scales_with_eps():
 
 
 # ---------------------------------------------------------------------------
-# fully graded family
-# ---------------------------------------------------------------------------
-
-
-def test_tangent_matched_mesh_frozen_tau():
-    # bit for bit: the tangent solve's iteration path is part of the mesh
-    m = bakhvalov_original(LayerSpec(eps=1e-4), 64)
-    assert m.meta["tau"] == BAK_TAU
-    assert abs(m.meta["c1_residual"]) <= 1e-12
-    m = bakhvalov_original(LayerSpec(eps=1e-8, gamma=3.0, mu=1.0), 64)
-    assert m.meta["tau"] == BAK_TAU_EPS1M8_G3_MU1
-
-
-def test_tangent_matched_inversion_identity():
-    # fine nodes x_i satisfy q*(1 - exp(-x_i/a)) = t_i to 1e-12
-    spec = LayerSpec(eps=1e-4)
-    m = bakhvalov_original(spec, 64)
-    a, q = spec.width_scale, 0.5
-    t = np.arange(65) / 64
-    tau = m.meta["tau"]
-    on_fine = t <= tau
-    lhs = q * -np.expm1(-m.points[on_fine] / a)
-    assert np.max(np.abs(lhs - t[on_fine])) <= 1e-12
-
-
-def test_tangent_matched_slope_is_continuous():
-    spec = LayerSpec(eps=1e-3)
-    m = bakhvalov_original(spec, 256)
-    tau, slope = m.meta["tau"], m.meta["tangent_slope"]
-    a, q = spec.width_scale, 0.5
-    # generating-function slope at tau from the left: a/(q - tau)
-    assert slope == pytest.approx(a / (q - tau), rel=1e-10)
-    # tangent hits (1, 1): phi(tau) + slope*(1 - tau) = 1
-    phi_tau = -a * math.log1p(-tau / q)
-    assert phi_tau + slope * (1.0 - tau) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tangent_matched_wide_layer_degenerates():
-    # the second width_scale lies within 1e-12 of q = 1/2, where no root
-    # of the tangent equation leaves tau > 0
-    for eps in (0.5, 0.25 * (1.0 - 1e-14)):
-        m = bakhvalov_original(LayerSpec(eps=eps), 8)
-        assert "degenerate" in m.meta
-        assert np.allclose(m.points, np.linspace(0.0, 1.0, 9), atol=1e-15)
-
-
-def test_tangent_matched_small_eps_residual():
-    for eps in (1e-6, 1e-10, 1e-12):
-        m = bakhvalov_original(LayerSpec(eps=eps), 64)
-        assert abs(m.meta["c1_residual"]) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
 # multi-scale piecewise-uniform meshes
 # ---------------------------------------------------------------------------
 
@@ -354,7 +297,6 @@ FAMILIES = [
     shishkin,
     bakhvalov_shishkin,
     bakhvalov_type,
-    bakhvalov_original,
 ]
 
 
