@@ -1,7 +1,9 @@
 """Command-line harness: mesh generation, solves, stability checks, studies.
 
 Exit codes: 0 on success, 2 when any sweep cell fails to solve, 3 on
-configuration errors (bad flags, malformed JSON, unknown names).
+configuration errors (bad flags, malformed JSON, unknown names).  Each
+distinct warning a command raises is written once to stderr as
+``warning: <text>``.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .harness import (
     MESH_TAGS,
@@ -197,12 +200,19 @@ def main(argv=None) -> int:
     if getattr(args, "list", False):
         sys.stdout.write("\n".join(sorted(STUDIES)) + "\n")
         return 0
-    try:
-        return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        # ValueError: invalid parameter combinations surfaced by the library
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    # warnings are caught, not left to Python's printer, so stderr names no
+    # source line and does not depend on earlier calls in the process
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.func(args)
+        except (ConfigError, ValueError, OSError) as exc:
+            # ValueError: invalid parameter combinations surfaced by the library
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        finally:
+            for text in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {text}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -80,27 +80,25 @@ RATE_TARGETS: dict[str, Callable[[int], float]] = {
 NORMS = ("max", "energy")
 
 
-def _check_selectors(target: str, norm: str) -> None:
-    if target not in RATE_TARGETS:
-        raise ValueError(f"unknown target {target!r}")
-    if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}; known: {', '.join(NORMS)}")
-
-
 def _phi(n: int) -> float:
     return math.log(n) / n
+
+
+def _log_rate(err_coarse: float, err_fine: float, ratio: float) -> float:
+    """log(E1/E2) / log(ratio) where both errors are positive and finite
+    and the yardstick ratio exceeds 1; nan otherwise."""
+    if not (0.0 < err_coarse < math.inf and 0.0 < err_fine < math.inf and ratio > 1.0):
+        return math.nan
+    return math.log(err_coarse / err_fine) / math.log(ratio)
 
 
 def raw_rate(err_coarse: float, err_fine: float, n_coarse: int, n_fine: int) -> float:
     """log(E1/E2) / log(N2/N1); equals log2(E(N)/E(2N)) on doubled grids.
 
-    Defined only where both errors are positive and finite; nan otherwise.
+    Defined only where both errors are positive and finite and N2 > N1;
+    nan otherwise.
     """
-    if not (err_coarse > 0.0 and err_fine > 0.0):
-        return math.nan
-    if not (math.isfinite(err_coarse) and math.isfinite(err_fine)):
-        return math.nan
-    return math.log(err_coarse / err_fine) / math.log(n_fine / n_coarse)
+    return _log_rate(err_coarse, err_fine, n_fine / n_coarse)
 
 
 def corrected_rate(
@@ -113,14 +111,7 @@ def corrected_rate(
     positive and finite and phi decreases from N1 to N2, which fails below
     N = 3 (ln 2 / 2 = ln 4 / 4); nan otherwise.
     """
-    if not (err_coarse > 0.0 and err_fine > 0.0):
-        return math.nan
-    if not (math.isfinite(err_coarse) and math.isfinite(err_fine)):
-        return math.nan
-    phi_ratio = _phi(n_coarse) / _phi(n_fine)
-    if not phi_ratio > 1.0:
-        return math.nan
-    return math.log(err_coarse / err_fine) / math.log(phi_ratio)
+    return _log_rate(err_coarse, err_fine, _phi(n_coarse) / _phi(n_fine))
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +132,36 @@ def _eps_key(eps) -> tuple[float, ...]:
 
 
 def _n_key(n) -> int:
-    """A mesh size N as an int.  Bools and non-integral values are rejected,
-    so 16.7 or True cannot run as N = 16 or N = 1."""
+    """A mesh size N as a positive int.  Bools and non-integral values are
+    rejected, so 16.7 or True cannot run as N = 16 or N = 1."""
     if isinstance(n, (bool, np.bool_, str)) or not float(n).is_integer():
         raise ValueError(f"N values must be integers, got {n!r}")
+    if n < 1:
+        raise ValueError(f"N values must be at least 1, got {n!r}")
     return int(n)
+
+
+def _grid(n_list, eps_list, target: str, norm: str):
+    """The checked (N, eps) grid of a study, sweep or report, as the tuples
+    (n_list, eps_list): integer N increasing strictly, valid eps vectors
+    that print differently, both lists non-empty, a known target and norm."""
+    ns = tuple(_n_key(n) for n in n_list)
+    epss = tuple(_eps_key(e) for e in eps_list)
+    if not ns or not epss:
+        raise ValueError("n_list and eps_list must be non-empty")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"n_list must increase strictly, got {ns}")
+    if target not in RATE_TARGETS:
+        raise ValueError(f"unknown target {target!r}")
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}; known: {', '.join(NORMS)}")
+    # CSV rows and the JSON c_star_by_eps keys tell cells apart only by
+    # their _fmt_eps label
+    labels = [_fmt_eps(e) for e in epss]
+    for j, label in enumerate(labels):
+        if label in labels[:j]:
+            raise ValueError(f"eps vectors must print differently; {label} appears twice")
+    return ns, epss
 
 
 @dataclass(frozen=True)
@@ -156,8 +172,6 @@ class ErrorRecord:
     A failed solve carries the exception text in `failure` and nan errors.
     """
 
-    family: str
-    scheme: str
     n: int
     eps: tuple[float, ...]
     err_max: float = math.nan
@@ -168,8 +182,6 @@ class ErrorRecord:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _n_key(self.n))
         object.__setattr__(self, "eps", _eps_key(self.eps))
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
         if self.failure is None:
             if not self.err_max >= 0.0:
                 raise ValueError(f"err_max must be >= 0, got {self.err_max!r}")
@@ -194,15 +206,10 @@ class ConvergenceReport:
     norm: str = "max"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(_n_key(n) for n in self.n_list))
-        object.__setattr__(
-            self, "eps_list", tuple(_eps_key(e) for e in self.eps_list)
-        )
+        ns, epss = _grid(self.n_list, self.eps_list, self.target, self.norm)
+        object.__setattr__(self, "n_list", ns)
+        object.__setattr__(self, "eps_list", epss)
         object.__setattr__(self, "records", tuple(self.records))
-        if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise ValueError(f"n_list must increase strictly, got {self.n_list}")
-        _check_selectors(self.target, self.norm)
-        _check_eps_labels(self.eps_list)
         want = len(self.n_list) * len(self.eps_list)
         if len(self.records) != want:
             raise ValueError(
@@ -225,23 +232,22 @@ class ConvergenceReport:
     def failures(self) -> tuple[ErrorRecord, ...]:
         return tuple(r for r in self.records if r.failure is not None)
 
-    def _cell_error(self, rec: ErrorRecord) -> float | None:
-        if rec.failure is not None:
-            return None
-        return rec.err_energy if self.norm == "energy" else rec.err_max
+    def _table(self) -> list[list[float]]:
+        """Per-cell errors in the report's norm, one row per N and one
+        column per eps; nan where a cell produced no error."""
+        errs = []
+        for r in self.records:
+            e = r.err_energy if self.norm == "energy" else r.err_max
+            errs.append(math.nan if r.failure is not None or e is None else e)
+        k = len(self.eps_list)
+        return [errs[i : i + k] for i in range(0, len(errs), k)]
 
     def uniform_errors(self) -> tuple[float, ...]:
         """E(N) = max over eps; nan where no cell produced the error."""
-        out = []
-        k = len(self.eps_list)
-        for i in range(len(self.n_list)):
-            vals = [
-                e
-                for r in self.records[i * k : (i + 1) * k]
-                if (e := self._cell_error(r)) is not None
-            ]
-            out.append(max(vals) if vals else math.nan)
-        return tuple(out)
+        return tuple(
+            max((e for e in row if not math.isnan(e)), default=math.nan)
+            for row in self._table()
+        )
 
     def _rates(self, rate: Callable[..., float]) -> tuple[float, ...]:
         e, n = self.uniform_errors(), self.n_list
@@ -267,24 +273,23 @@ class ConvergenceReport:
         """Per-eps boundedness constants; their spread across eps is the
         operational test that the error constant does not depend on eps."""
         tgt = RATE_TARGETS[self.target]
-        out: dict[tuple[float, ...], float] = {}
-        k = len(self.eps_list)
-        for j, eps in enumerate(self.eps_list):
-            vals = [
-                e / tgt(self.n_list[i])
-                for i in range(len(self.n_list))
-                if (e := self._cell_error(self.records[i * k + j])) is not None
-                and math.isfinite(e)
-            ]
-            out[eps] = max(vals) if vals else math.nan
-        return out
+        table = self._table()
+        return {
+            eps: max(
+                (row[j] / tgt(n) for n, row in zip(self.n_list, table) if math.isfinite(row[j])),
+                default=math.nan,
+            )
+            for j, eps in enumerate(self.eps_list)
+        }
 
     def c_star_spread(self) -> float:
-        """max/min ratio of the per-eps constants (nan if undefined)."""
-        vals = [v for v in self.c_star_by_eps().values() if v > 0.0]
-        if not vals or not all(math.isfinite(v) for v in vals):
+        """max/min ratio of the positive per-eps constants; nan if none is
+        positive or any is not finite (an eps whose every cell failed)."""
+        vals = list(self.c_star_by_eps().values())
+        pos = [v for v in vals if v > 0.0]
+        if not pos or not all(math.isfinite(v) for v in vals):
             return math.nan
-        return max(vals) / min(vals)
+        return max(pos) / min(pos)
 
     def monotonicity_flags(self) -> tuple[str, ...]:
         """Inversions of E(N); small single inversions are flagged, not fatal."""
@@ -360,14 +365,7 @@ def sweep(
     """
     if scheme not in SCHEME_TAGS:
         raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
-    ns = tuple(_n_key(n) for n in n_list)
-    epss = tuple(_eps_key(e) for e in eps_list)
-    if not ns or not epss:
-        raise ValueError("n_list and eps_list must be non-empty")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"n_list must increase strictly, got {ns}")
-    _check_selectors(target, norm)
-    _check_eps_labels(epss)
+    ns, epss = _grid(n_list, eps_list, target, norm)
     pairs = [problem_family(e) for e in epss]
     bare = [ref.kind for _, ref in pairs if ref.derivative_fn is None]
     if norm == "energy" and bare:
@@ -375,8 +373,7 @@ def sweep(
                          f"the {bare[0]} reference has none")
 
     def failed(n: int, eps: tuple[float, ...], exc: Exception) -> ErrorRecord:
-        return ErrorRecord(family=family, scheme=scheme, n=n, eps=eps,
-                           failure=f"{type(exc).__name__}: {exc}")
+        return ErrorRecord(n=n, eps=eps, failure=f"{type(exc).__name__}: {exc}")
 
     def attempt(step, *args):
         try:
@@ -387,8 +384,6 @@ def sweep(
     def measure(n, eps, problem, ref, sol: DiscreteSolution) -> ErrorRecord:
         mesh = sol.mesh
         return ErrorRecord(
-            family=family,
-            scheme=scheme,
             n=n,
             eps=eps,
             err_max=max_norm_error(sol, ref),
@@ -443,17 +438,6 @@ def _fmt_eps(eps: tuple[float, ...]) -> str:
     return ";".join(f"{e:.6e}" for e in eps)
 
 
-def _check_eps_labels(eps_list: Sequence[tuple[float, ...]]) -> None:
-    """Refuse eps vectors that print alike: CSV rows and the JSON
-    c_star_by_eps keys tell cells apart only by their _fmt_eps label."""
-    seen = set()
-    for eps in eps_list:
-        label = _fmt_eps(eps)
-        if label in seen:
-            raise ValueError(f"eps vectors must print differently; {label} appears twice")
-        seen.add(label)
-
-
 def _json_num(v: float | None):
     if v is None or not math.isfinite(v):
         return None
@@ -463,30 +447,17 @@ def _json_num(v: float | None):
 def report_emit(report: ConvergenceReport, fmt: str = "csv") -> str:
     """Render a report as CSV (fixed column set, byte-stable) or JSON."""
     if fmt == "csv":
-        rr = report.rates_raw()
-        rc = report.rates_corrected()
+        # the rates from N to the next N stand on the rows of N; the
+        # finest N has none
+        rates = [*zip(report.rates_raw(), report.rates_corrected()), (None, None)]
         k = len(report.eps_list)
         lines = [CSV_HEADER]
-        for i, n in enumerate(report.n_list):
-            raw = rr[i] if i < len(rr) else None
-            cor = rc[i] if i < len(rc) else None
-            for j in range(k):
-                r = report.records[i * k + j]
-                lines.append(
-                    ",".join(
-                        (
-                            r.family,
-                            r.scheme,
-                            str(n),
-                            _fmt_eps(r.eps),
-                            _fmt(r.err_max),
-                            _fmt(r.err_energy),
-                            _fmt(r.q),
-                            _fmt(raw),
-                            _fmt(cor),
-                        )
-                    )
-                )
+        for idx, r in enumerate(report.records):
+            raw, cor = rates[idx // k]
+            lines.append(",".join((
+                report.family, report.scheme, str(r.n), _fmt_eps(r.eps), _fmt(r.err_max),
+                _fmt(r.err_energy), _fmt(r.q), _fmt(raw), _fmt(cor),
+            )))
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {
@@ -530,8 +501,6 @@ def report_from_json(text: str) -> ConvergenceReport:
     data = json.loads(text)
     records = tuple(
         ErrorRecord(
-            family=data["family"],
-            scheme=data["scheme"],
             n=r["n"],
             eps=tuple(r["eps"]),
             err_max=math.nan if r["err_max"] is None else float(r["err_max"]),
@@ -669,11 +638,9 @@ class StudyConfig:
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(_n_key(n) for n in self.n_list))
-        object.__setattr__(
-            self, "eps_list", tuple(_eps_key(e) for e in self.eps_list)
-        )
-        _check_selectors(self.target, self.norm)
+        ns, epss = _grid(self.n_list, self.eps_list, self.target, self.norm)
+        object.__setattr__(self, "n_list", ns)
+        object.__setattr__(self, "eps_list", epss)
 
 
 _SCALAR_N = (64, 128, 256, 512, 1024)
@@ -785,10 +752,6 @@ _STUDY_KEYS = _TEXT_KEYS + ("N_list", "eps_list", "output", "format")
 
 def study_from_dict(data: dict) -> StudyConfig:
     """Build a StudyConfig from a JSON-style dict (the CLI study format)."""
-    if "energy" in data:
-        raise ValueError(
-            'study config key "energy" was replaced by "norm": "energy" | "max"'
-        )
     if unknown := sorted(set(data) - set(_STUDY_KEYS)):
         raise ValueError(f"unknown study config keys: {', '.join(unknown)}; "
                          f"known: {', '.join(_STUDY_KEYS)}")

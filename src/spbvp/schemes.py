@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import BlockTridiag, block_thomas, stack
 from .meshes import Mesh1D
-from .problems import ReferenceSolution, SystemProblem
+from .problems import KINDS, ReferenceSolution, SystemProblem
 from .quadrature import gauss_legendre_cells
 
 __all__ = [
@@ -39,9 +39,6 @@ class DiscreteOperator:
     rhs: np.ndarray  # (N+1, M)
     mesh: Mesh1D
     scheme_tag: str
-    problem_label: str
-    g0: np.ndarray
-    g1: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -59,16 +56,12 @@ class DiscreteSolution:
     values: np.ndarray  # (N+1, M)
     mesh: Mesh1D
     scheme_tag: str
-    problem_label: str
     residual: float
 
 
 def apply(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
     """Operator-vector product on nodal data of shape (N+1, M)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (op.n_nodes, op.m):
-        raise ValueError(f"vector must be {(op.n_nodes, op.m)}, got {v.shape}")
-    return op.matrix.matvec(v)
+    return op.matrix.matvec(np.asarray(v, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +106,6 @@ def _finalize(sub, diag, sup, rhs, problem, mesh, tag):
         rhs=rhs,
         mesh=mesh,
         scheme_tag=tag,
-        problem_label=problem.label,
-        g0=problem.g0.copy(),
-        g1=problem.g1.copy(),
     )
 
 
@@ -131,8 +121,6 @@ def _warn_on_sign_change(bkk: np.ndarray) -> None:
 
 
 def _assemble_simple_upwind(problem, mesh):
-    if problem.b is None:
-        raise ValueError("upwind schemes need a convection term")
     x = mesh.points
     n = len(x) - 1
     m = problem.m
@@ -157,13 +145,6 @@ def _assemble_simple_upwind(problem, mesh):
 
 
 def _assemble_midpoint_upwind(problem, mesh):
-    if problem.b is None:
-        raise ValueError("upwind schemes need a convection term")
-    if problem.kind != "weakly-coupled-cd":
-        raise ValueError(
-            "midpoint upwinding is defined for diagonal convection "
-            f"(weakly-coupled-cd), got {problem.kind}"
-        )
     x = mesh.points
     n = len(x) - 1
     m = problem.m
@@ -197,10 +178,6 @@ def _assemble_midpoint_upwind(problem, mesh):
 
 
 def _assemble_central(problem, mesh):
-    if problem.kind != "reaction-diffusion":
-        raise ValueError(
-            f"central scheme is reserved for reaction-diffusion, got {problem.kind}"
-        )
     x = mesh.points
     n = len(x) - 1
     h = mesh.spacings
@@ -304,8 +281,6 @@ def _assemble_ias(problem, mesh):
     sigma_j = rho_j coth(rho_j), rho_j = lambda_j h / (2 eps).  The row is
     -eps (P diag(sigma) P^T) D+D- u + B D0 u + A u = f.
     """
-    if problem.b is None:
-        raise ValueError("the fitted scheme needs a convection term")
     eps_set = set(problem.eps)
     if len(eps_set) != 1:
         raise ValueError(
@@ -348,12 +323,17 @@ def _assemble_ias(problem, mesh):
     return sub, diag, sup, rhs
 
 
+_CD = ("weakly-coupled-cd", "strongly-coupled-cd")
+
+# Each scheme's assembler and the problem kinds it serves.  Midpoint
+# upwinding is defined for diagonal convection only; central differences
+# drop convection; galerkin-fem serves every kind.
 _ASSEMBLERS = {
-    "simple-upwind": _assemble_simple_upwind,
-    "midpoint-upwind": _assemble_midpoint_upwind,
-    "central": _assemble_central,
-    "ias": _assemble_ias,
-    "galerkin-fem": _assemble_galerkin,
+    "simple-upwind": (_assemble_simple_upwind, _CD),
+    "midpoint-upwind": (_assemble_midpoint_upwind, ("weakly-coupled-cd",)),
+    "central": (_assemble_central, ("reaction-diffusion",)),
+    "ias": (_assemble_ias, _CD),
+    "galerkin-fem": (_assemble_galerkin, KINDS),
 }
 
 SCHEME_TAGS = tuple(_ASSEMBLERS)
@@ -373,7 +353,12 @@ def assemble(problem: SystemProblem, mesh: Mesh1D, scheme: str) -> DiscreteOpera
     """
     if scheme not in _ASSEMBLERS:
         raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
-    return _finalize(*_ASSEMBLERS[scheme](problem, mesh), problem, mesh, scheme)
+    build, kinds = _ASSEMBLERS[scheme]
+    if problem.kind not in kinds:
+        raise ValueError(
+            f"scheme {scheme!r} serves {', '.join(kinds)}; the problem is {problem.kind}"
+        )
+    return _finalize(*build(problem, mesh), problem, mesh, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +392,8 @@ def solve_many(ops) -> list[DiscreteSolution]:
     copies nothing.  The stacked reduction solves each system as it would
     alone, so every solution is the one ``solve`` gives.  A singular pivot
     block in any system of a stack raises SingularMatrixError for the call.
+    The boundary rows are identity rows with zero couplings, so the
+    solution carries the Dirichlet data exactly.
 
     Each solution then passes the residual guard of its own operator.  The
     residual of each scalar row is divided by that row's coefficient norm
@@ -450,14 +437,8 @@ def _guarded(op: DiscreteOperator, u: np.ndarray) -> DiscreteSolution:
             f"solver residual {residual:.3e} exceeds {tol:.3e} "
             f"({op.scheme_tag} on {op.mesh.label})"
         )
-    u[0] = op.g0
-    u[-1] = op.g1
     return DiscreteSolution(
-        values=u,
-        mesh=op.mesh,
-        scheme_tag=op.scheme_tag,
-        problem_label=op.problem_label,
-        residual=residual,
+        values=u, mesh=op.mesh, scheme_tag=op.scheme_tag, residual=residual
     )
 
 

@@ -271,6 +271,23 @@ def test_solve_scheme_mismatch_is_a_solve_failure(capsys):
     assert code == 2 and "solve failed" in err
 
 
+def test_warnings_print_once_per_call_without_source_lines(tmp_path, capsys):
+    # B(x) of strongly-coupled-variable changes sign, so upwinding warns on
+    # every cell; stderr must not depend on what ran earlier in the process
+    warning = ("warning: convection coefficient of component 0 changes sign on the "
+               "mesh; upwinding per node\n")
+    solve = ("solve", "--problem", "strongly-coupled-variable", "--mesh", "uniform",
+             "--n", "16")
+    assert _run(capsys, *solve)[::2] == _run(capsys, *solve)[::2] == (0, warning)
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({
+        "problem": "strongly-coupled-variable", "scheme": "simple-upwind",
+        "mesh": "uniform", "N_list": [16, 32], "eps_list": [1e-2, 1e-4],
+    }))
+    study = ("study", "--config", str(path))
+    assert _run(capsys, *study)[::2] == _run(capsys, *study)[::2] == (0, warning)
+
+
 def test_solve_unknown_problem_is_config_error(capsys):
     code, _, err = _run(capsys, "solve", "--problem", "mystery")
     assert code == 3 and "unknown problem" in err
@@ -500,7 +517,7 @@ def test_study_config_rejects_unknown_and_retired_keys(tmp_path, capsys):
     }
     path = tmp_path / "study.json"
     for extra, message in (
-        ({"energy": "false"}, '"energy" was replaced by "norm"'),
+        ({"energy": "false"}, "unknown study config keys: energy; known:"),
         ({"targt": "n_inv"}, "unknown study config keys: targt; known:"),
         ({"norm": "l2"}, "unknown norm 'l2'"),
     ):

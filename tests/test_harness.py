@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from spbvp import harness, problems, schemes
 from spbvp.harness import (
-    CSV_HEADER,
     ConvergenceReport,
     ErrorRecord,
     MESH_TAGS,
@@ -54,20 +53,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 UPWIND_SHISHKIN_N64_EPS1M6 = 0.04365607160885421  # locked after first verified run
 
 
-def _mk_records(family, scheme, n_list, eps_list, errs):
+def _mk_records(n_list, eps_list, errs):
     recs = []
     for i, n in enumerate(n_list):
         for j, eps in enumerate(eps_list):
-            recs.append(
-                ErrorRecord(
-                    family=family,
-                    scheme=scheme,
-                    n=n,
-                    eps=eps,
-                    err_max=errs[i][j],
-                    q=1.0 / n,
-                )
-            )
+            recs.append(ErrorRecord(n=n, eps=eps, err_max=errs[i][j], q=1.0 / n))
     return tuple(recs)
 
 
@@ -77,7 +67,7 @@ def _report(errs, n_list=(64, 128, 256), eps_list=((1e-4,), (1e-6,)), target="n_
         scheme="simple-upwind",
         n_list=n_list,
         eps_list=eps_list,
-        records=_mk_records("shishkin", "simple-upwind", n_list, eps_list, errs),
+        records=_mk_records(n_list, eps_list, errs),
         target=target,
     )
 
@@ -138,20 +128,20 @@ def test_corrected_rate_recovers_synthetic_exponent(c, p, n):
 
 def test_error_record_validation():
     with pytest.raises(ValueError, match="err_max"):
-        ErrorRecord(family="f", scheme="s", n=8, eps=(1e-3,), err_max=-1.0)
-    with pytest.raises(ValueError, match="n must be"):
-        ErrorRecord(family="f", scheme="s", n=0, eps=(1e-3,), err_max=0.0)
+        ErrorRecord(n=8, eps=(1e-3,), err_max=-1.0)
+    with pytest.raises(ValueError, match="N values must be at least 1, got 0"):
+        ErrorRecord(n=0, eps=(1e-3,), err_max=0.0)
     with pytest.raises(ValueError, match="eps must be finite and positive, got 0.0"):
-        ErrorRecord(family="f", scheme="s", n=8, eps=(0.0,), err_max=0.0)
+        ErrorRecord(n=8, eps=(0.0,), err_max=0.0)
     # failed cells may carry nan errors; scalar eps normalizes to a tuple
-    rec = ErrorRecord(family="f", scheme="s", n=8, eps=1e-3, failure="boom")
+    rec = ErrorRecord(n=8, eps=1e-3, failure="boom")
     assert rec.eps == (1e-3,) and math.isnan(rec.err_max)
     with pytest.raises(ValueError, match="err_max"):
-        ErrorRecord(family="f", scheme="s", n=8, eps=(1e-3,), err_max=math.nan)
+        ErrorRecord(n=8, eps=(1e-3,), err_max=math.nan)
 
 
 def test_report_grid_is_validated():
-    recs = _mk_records("shishkin", "simple-upwind", (64, 128), ((1e-4,),), [[0.1], [0.05]])
+    recs = _mk_records((64, 128), ((1e-4,),), [[0.1], [0.05]])
     with pytest.raises(ValueError, match="need 4 records"):
         ConvergenceReport(
             family="shishkin",
@@ -180,9 +170,7 @@ def test_uniform_error_is_max_over_eps_and_skips_failures():
     rep = _report([[0.3, 0.4], [0.2, 0.15], [0.05, 0.06]])
     assert rep.uniform_errors() == (0.4, 0.2, 0.06)
     assert rep.record(128, (1e-6,)).err_max == 0.15
-    failed = ErrorRecord(
-        family="shishkin", scheme="simple-upwind", n=64, eps=(1e-6,), failure="x"
-    )
+    failed = ErrorRecord(n=64, eps=(1e-6,), failure="x")
     recs = (rep.records[0], failed) + rep.records[2:]
     rep2 = ConvergenceReport(
         family="shishkin",
@@ -206,6 +194,20 @@ def test_report_rates_and_c_star_against_hand_values():
     by_eps = rep.c_star_by_eps()
     assert set(by_eps) == {(1e-4,), (1e-6,)}
     assert abs(rep.c_star_spread() - 1.0) <= 1e-12
+
+
+def test_c_star_spread_is_nan_when_an_eps_failed_in_every_cell():
+    # eps = 1e-15 cannot be meshed on shishkin at N >= 256: its constant is
+    # nan, so the spread must not read the surviving eps alone as flat
+    rep = sweep(problem_family("scalar-cd"), mesh_family("shishkin"), "simple-upwind",
+                [256, 512], [1e-4, 1e-15])
+    assert len(rep.failures) == 2
+    by_eps = rep.c_star_by_eps()
+    assert by_eps[(1e-4,)] > 0.0 and math.isnan(by_eps[(1e-15,)])
+    assert math.isnan(rep.c_star_spread())
+    # a zero constant stays skipped: an exact eps is no spread
+    exact = _report([[0.0, 0.4], [0.0, 0.2], [0.0, 0.1]])
+    assert exact.c_star_spread() == 1.0
 
 
 def test_monotonicity_flags_discriminate_minor_and_severe():
@@ -342,19 +344,22 @@ def test_sweep_rejects_unordered_n_list_before_solving(monkeypatch):
         return solve_many(*args, **kwargs)
 
     monkeypatch.setattr(schemes, "solve_many", counting)
-    cfg = study_from_dict(
-        {
-            "problem": "scalar-cd",
-            "scheme": "simple-upwind",
-            "mesh": "shishkin",
-            "N_list": [4096, 2048, 1024],
-            "eps_list": [1e-4, 1e-6, 1e-8],
-        }
-    )
-    with pytest.raises(ValueError, match=r"n_list must increase strictly, got \(4096, 2048, 1024\)"):
-        run_study(cfg)
+    cfg = {
+        "problem": "scalar-cd",
+        "scheme": "simple-upwind",
+        "mesh": "shishkin",
+        "N_list": [4096, 2048, 1024],
+        "eps_list": [1e-4, 1e-6, 1e-8],
+    }
+    unordered = r"n_list must increase strictly, got \(4096, 2048, 1024\)"
+    # the config is refused when it is read, the sweep before it solves
+    with pytest.raises(ValueError, match=unordered):
+        study_from_dict(cfg)
+    with pytest.raises(ValueError, match=unordered):
+        sweep(problem_family("scalar-cd"), mesh_family("shishkin"), "simple-upwind",
+              cfg["N_list"], cfg["eps_list"])
     assert calls == []
-    run_study(dataclasses.replace(cfg, n_list=(16, 32)))
+    run_study(study_from_dict({**cfg, "N_list": [16, 32]}))
     assert len(calls) == 2  # one group solve per N: the counter sees the sweep
 
 
@@ -433,12 +438,15 @@ def test_sweep_rejects_empty_grids():
 # emission
 
 
-def test_empty_report_emits_header_only():
-    rep = ConvergenceReport(
-        family="shishkin", scheme="simple-upwind", n_list=(), eps_list=(), records=()
-    )
-    assert report_emit(rep, "csv") == CSV_HEADER + "\n"
-    assert math.isnan(rep.c_star())
+def test_empty_grid_is_refused_by_reports_and_configs():
+    # the grid check sweep applies (test_sweep_rejects_empty_grids)
+    for n_list, eps_list in (((), ((1e-3,),)), ((16,), ()), ((), ())):
+        with pytest.raises(ValueError, match="n_list and eps_list must be non-empty"):
+            ConvergenceReport(family="shishkin", scheme="simple-upwind",
+                              n_list=n_list, eps_list=eps_list, records=())
+        with pytest.raises(ValueError, match="n_list and eps_list must be non-empty"):
+            StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
+                        n_list=n_list, eps_list=eps_list)
 
 
 def test_csv_golden_file_byte_lock():
@@ -487,12 +495,8 @@ def test_json_round_trip_preserves_everything():
 
 
 def test_json_round_trip_keeps_failures():
-    rec_ok = ErrorRecord(
-        family="uniform", scheme="central", n=8, eps=(1.0,), err_max=0.5, q=0.125
-    )
-    rec_bad = ErrorRecord(
-        family="uniform", scheme="central", n=16, eps=(1.0,), failure="ValueError: no"
-    )
+    rec_ok = ErrorRecord(n=8, eps=(1.0,), err_max=0.5, q=0.125)
+    rec_bad = ErrorRecord(n=16, eps=(1.0,), failure="ValueError: no")
     rep = ConvergenceReport(
         family="uniform",
         scheme="central",
@@ -568,14 +572,12 @@ def test_norm_is_validated_on_configs_and_reports():
         StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
                     n_list=(16,), eps_list=((1e-3,),), norm="l2")
     with pytest.raises(ValueError, match="unknown norm 'l2'"):
-        ConvergenceReport(family="f", scheme="central", n_list=(), eps_list=(),
+        ConvergenceReport(family="f", scheme="central", n_list=(16,), eps_list=((1e-3,),),
                           records=(), norm="l2")
 
 
 def test_report_emit_rejects_unknown_format():
-    rep = ConvergenceReport(
-        family="f", scheme="central", n_list=(), eps_list=(), records=()
-    )
+    rep = _report([[0.3, 0.4], [0.2, 0.15], [0.05, 0.06]])
     with pytest.raises(ValueError, match="unknown format"):
         report_emit(rep, "yaml")
 
@@ -641,9 +643,10 @@ def test_study_from_dict_named_and_inline():
 
 
 def test_study_from_dict_rejects_malformed_keys_and_values():
-    # "energy": "false" used to turn the energy norm on (bool("false"))
+    # "energy": "false" used to turn the energy norm on (bool("false")); the
+    # retired key is an unknown key, whose message names norm
     for value in ("false", True, False):
-        with pytest.raises(ValueError, match='"energy" was replaced by "norm"'):
+        with pytest.raises(ValueError, match="unknown study config keys: energy; known: .*, norm,"):
             study_from_dict({**_INLINE, "energy": value})
     with pytest.raises(ValueError, match="unknown study config keys: targt; known: problem, scheme, "):
         study_from_dict({**_INLINE, "targt": "n_inv"})
@@ -659,6 +662,19 @@ def test_study_from_dict_rejects_malformed_keys_and_values():
 
 def test_n_values_must_be_integers():
     # one validator for configs, sweeps, reports and records: no silent int(n)
+    built = []
+
+    def family(eps):
+        built.append(eps)
+        return problem_family("scalar-cd")(eps)
+
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match=f"N values must be at least 1, got {bad}"):
+            StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
+                        n_list=(bad, 64), eps_list=((1e-3,),))
+        with pytest.raises(ValueError, match=f"N values must be at least 1, got {bad}"):
+            sweep(family, mesh_family("shishkin"), "simple-upwind", [bad, 64], [1e-3])
+    assert built == []  # refused before any problem is built
     for bad in (16.7, True, np.bool_(True), "16", math.inf):
         with pytest.raises(ValueError, match="N values must be integers"):
             StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
@@ -670,7 +686,7 @@ def test_n_values_must_be_integers():
             ConvergenceReport(family="f", scheme="central", n_list=(bad,),
                               eps_list=((1e-3,),), records=())
         with pytest.raises(ValueError, match="N values must be integers"):
-            ErrorRecord(family="f", scheme="central", n=bad, eps=(1e-3,), err_max=0.1)
+            ErrorRecord(n=bad, eps=(1e-3,), err_max=0.1)
     cfg = StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
                       n_list=(16.0, np.int64(32)), eps_list=((1e-3,),))
     assert cfg.n_list == (16, 32) and all(type(n) is int for n in cfg.n_list)

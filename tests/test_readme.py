@@ -1,5 +1,5 @@
 """The README runs as written: its library quickstart prints what it says,
-and its mesh tag list is the package's."""
+and its mesh and scheme tag lists are the package's."""
 import ast
 import contextlib
 import io
@@ -9,6 +9,7 @@ import re
 import pytest
 
 from spbvp.harness import MESH_TAGS
+from spbvp.schemes import SCHEME_TAGS
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +36,13 @@ def test_readme_lists_exactly_the_mesh_tags():
     para = re.search(r"^`MESHES` holds.*?(?:\n\n|\Z)", text, re.S | re.M).group(0)
     listing = re.sub(r"\([^)]*\)", "", para.split("with n:", 1)[1]).split(".", 1)[0]
     assert tuple(re.findall(r"`([^`]+)`", listing)) == MESH_TAGS
+
+
+def test_readme_lists_exactly_the_scheme_tags():
+    # the tag list of the paragraph that begins "Schemes (", in order, up to
+    # the end of its first sentence; parenthesised remarks name kinds and
+    # functions, not tags
+    text = README.read_text(encoding="utf-8")
+    para = re.search(r"^Schemes \(.*?(?:\n\n|\Z)", text, re.S | re.M).group(0)
+    listing = re.sub(r"\([^)]*\)", "", para.split("serves:", 1)[1]).split(".", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", listing)) == SCHEME_TAGS

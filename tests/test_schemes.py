@@ -1,5 +1,6 @@
 """Difference/FEM assembly, the fitted scheme, solving, and energy norms."""
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -90,6 +91,27 @@ def test_scheme_tag_validation():
         )
 
 
+_SERVES = {
+    "simple-upwind": ("weakly-coupled-cd", "strongly-coupled-cd"),
+    "midpoint-upwind": ("weakly-coupled-cd",),
+    "central": ("reaction-diffusion",),
+    "ias": ("weakly-coupled-cd", "strongly-coupled-cd"),
+    "galerkin-fem": ("weakly-coupled-cd", "strongly-coupled-cd", "reaction-diffusion"),
+}
+
+
+def test_every_scheme_refuses_exactly_the_kinds_it_does_not_serve():
+    assert set(_SERVES) == set(SCHEME_TAGS)
+    for tag, kind in itertools.product(SCHEME_TAGS, _SERVES["galerkin-fem"]):
+        base = _scalar_rd() if kind == "reaction-diffusion" else _scalar_cd()
+        problem = dataclasses.replace(base, kind=kind)
+        if kind in _SERVES[tag]:
+            assert assemble(problem, uniform_mesh(8), tag).scheme_tag == tag
+        else:
+            with pytest.raises(ValueError, match=f"scheme '{tag}' serves .*; the problem is {kind}$"):
+                assemble(problem, uniform_mesh(8), tag)
+
+
 # ---------------------------------------------------------------------------
 # upwind and midpoint assembly (frozen rows: eps=1/64, h=1/4, b=1, a=2, f=3)
 
@@ -145,9 +167,11 @@ def test_upwind_warns_on_sign_changing_convection():
 
 def test_upwind_and_midpoint_reject_missing_convection():
     problem = _scalar_rd()
-    with pytest.raises(ValueError, match="need a convection term"):
+    with pytest.raises(ValueError, match="scheme 'simple-upwind' serves weakly-coupled-cd, "
+                       "strongly-coupled-cd; the problem is reaction-diffusion"):
         assemble(problem, uniform_mesh(8), "simple-upwind")
-    with pytest.raises(ValueError, match="diagonal convection"):
+    with pytest.raises(ValueError, match="scheme 'midpoint-upwind' serves weakly-coupled-cd; "
+                       "the problem is strongly-coupled-cd"):
         assemble(builtin_strongly_coupled_example(1e-2)[0], uniform_mesh(8), "midpoint-upwind")
 
 
@@ -190,7 +214,8 @@ def test_central_exact_on_quadratics_on_uneven_mesh():
 
 
 def test_central_rejects_convection_kinds():
-    with pytest.raises(ValueError, match="reserved for reaction-diffusion"):
+    with pytest.raises(ValueError, match="scheme 'central' serves reaction-diffusion; "
+                       "the problem is weakly-coupled-cd"):
         assemble(_scalar_cd(), uniform_mesh(8), "central")
 
 
@@ -271,7 +296,7 @@ def test_ias_rejects_nonuniform_multiparameter_asymmetric_and_diffusion():
     )
     with pytest.raises(ValueError, match="symmetric"):
         assemble(skewed, uniform_mesh(8), "ias")
-    with pytest.raises(ValueError, match="convection term"):
+    with pytest.raises(ValueError, match="scheme 'ias' serves .*; the problem is reaction-diffusion"):
         assemble(_scalar_rd(), uniform_mesh(8), "ias")
 
 
@@ -348,11 +373,34 @@ def test_solve_zero_data_gives_zero():
     np.testing.assert_array_equal(sol.values, 0.0)
 
 
+def _system(m, eps, kind, g0, g1):
+    """m components of one eps, diagonal convection (none for
+    reaction-diffusion), a coupled reaction and the given boundary data."""
+    b = None if kind == "reaction-diffusion" else coefficient(np.diag([1.0, 2.0][:m]), (m, m))
+    return SystemProblem(
+        m=m,
+        eps=(eps,) * m,
+        kind=kind,
+        b=b,
+        a=coefficient(np.array([[2.0, -0.5], [-0.25, 3.0]])[:m, :m], (m, m)),
+        f=coefficient(np.array([3.0, -1.0])[:m], (m,)),
+        g0=np.array(g0),
+        g1=np.array(g1),
+    )
+
+
 def test_solve_sets_boundary_values_and_reports_residual():
-    problem = _scalar_cd(g0=0.25, g1=-1.5)
-    sol = discrete_solve(problem, uniform_mesh(16), "simple-upwind")
-    assert sol.values[0, 0] == 0.25 and sol.values[-1, 0] == -1.5
-    assert 0.0 <= sol.residual <= 1e-10 * (1.0 + 3.0)
+    # the solver writes no boundary value: the identity boundary rows of
+    # every assembler carry the data through the reduction bitwise, alone
+    # and in a stack
+    for tag in SCHEME_TAGS:
+        kind = "reaction-diffusion" if tag == "central" else "weakly-coupled-cd"
+        for m, g0, g1 in ((1, [0.25], [-1.5]), (2, [0.25, -0.1], [-1.5, 3.0 / 7.0])):
+            ops = [assemble(_system(m, eps, kind, g0, g1), uniform_mesh(16), tag)
+                   for eps in (1e-2, 1e-6)]
+            for sol in [solve(ops[0])] + solve_many(ops):
+                assert sol.values[0].tolist() == g0 and sol.values[-1].tolist() == g1, (tag, m)
+                assert 0.0 <= sol.residual <= 1e-10 * (1.0 + 3.0)
 
 
 def test_solve_refines_fem_rows_with_vanishing_reaction():
