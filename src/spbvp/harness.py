@@ -57,7 +57,6 @@ __all__ = [
     "mesh_family",
     "problem_family",
     "raw_rate",
-    "reference_discrepancy",
     "report_emit",
     "report_from_json",
     "run_study",
@@ -224,8 +223,11 @@ class ConvergenceReport:
                 )
 
     def record(self, n: int, eps) -> ErrorRecord:
-        i = self.n_list.index(_n_key(n))
-        j = self.eps_list.index(_eps_key(eps))
+        n, eps = _n_key(n), _eps_key(eps)
+        for name, value, grid in (("N", n, self.n_list), ("eps", eps, self.eps_list)):
+            if value not in grid:
+                raise ValueError(f"{name}={value} is not in the report's grid {name}={list(grid)}")
+        i, j = self.n_list.index(n), self.eps_list.index(eps)
         return self.records[i * len(self.eps_list) + j]
 
     @property
@@ -326,18 +328,6 @@ def max_norm_error(sol: DiscreteSolution, ref: ReferenceSolution) -> float:
             f"shape {sol.values.shape}"
         )
     return float(np.max(np.abs(sol.values - exact)))
-
-
-def reference_discrepancy(
-    ref_a: ReferenceSolution, ref_b: ReferenceSolution, npts: int = 1025
-) -> float:
-    """Max-norm distance between two references on a uniform probe grid.
-
-    Doubling an oracle's cell count must move it by far less than the
-    smallest error it is used to measure.
-    """
-    x = np.linspace(0.0, 1.0, npts)
-    return float(np.max(np.abs(ref_a(x) - ref_b(x))))
 
 
 def sweep(

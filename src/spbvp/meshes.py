@@ -5,15 +5,15 @@ Every family is one function of (LayerSpec, n) and builds exactly n cells:
 piecewise-uniform Shishkin mesh for one or several layers, and the graded
 families (``bakhvalov_shishkin``, ``bakhvalov_type``) take the one layer.
 
-All constructors build the canonical orientation with the boundary layer at
-x = 0, and ``_oriented`` is the one place that turns those points into a
-mesh, mirrored when the layer sits at x = 1.  ``bakhvalov_shishkin`` and
-``bakhvalov_type`` build only their graded points on [0, sigma];
-``_layer_mesh`` appends the uniform part and, for side='both', the graded
-points reflected at x = 1.  Graded families degenerate to the uniform mesh
-(with a note in ``Mesh1D.meta``) whenever their transition point would
-leave the admissible range; callers can rely on always getting a valid mesh
-back for any positive layer width.
+Every layer family builds its canonical layer points on [0, tau], with the
+boundary layer at x = 0, and ``_finish`` completes them the same way for
+all three: it appends the uniform band out to 1 (to 1/2 for side='both',
+then reflects that half node for node as 1 - x, so a two-sided mesh is an
+exact reflection) and mirrors the mesh when the layer sits at x = 1.
+``_band_cells`` holds the one cell-count rule.  Graded families degenerate
+to the uniform mesh (with a note in ``Mesh1D.meta``) whenever their
+transition point would leave the admissible range; callers can rely on
+always getting a valid mesh back for any positive layer width.
 
 Width parameters follow one convention everywhere: a layer of the form
 exp(-gamma*x/eps) is resolved on a region of width ~ mu*eps/gamma, where mu
@@ -154,33 +154,26 @@ def uniform_mesh(n: int, label: str = "uniform") -> Mesh1D:
     return _mesh(np.linspace(0.0, 1.0, n + 1), label, {"uniform": True})
 
 
-def _oriented(pts, side: str, label: str, meta: dict) -> Mesh1D:
-    """Mesh from canonical left-layer points, mirrored when the layer is at x = 1."""
+def _band_cells(n: int, bands: int, side: str, who: str) -> tuple[int, float]:
+    """The cell-count rule of every layer mesh: n cells in equal bands on
+    [0, end], end = 1/2 for side='both' (whose bands are reflected onto
+    [1/2, 1]) and 1 otherwise.  Returns the cells per band and end."""
+    per = 2 * bands if side == "both" else bands
+    if n % per != 0 or n < 2 * per:
+        raise ValueError(f"{who} needs n divisible by {per} and >= {2 * per}, got {n}")
+    return n // per, 0.5 if side == "both" else 1.0
+
+
+def _finish(layer: np.ndarray, cells: int, end: float, side: str, label: str,
+            meta: dict) -> Mesh1D:
+    """Complete canonical layer points on [0, tau] with a uniform band of
+    `cells` cells out to `end`; for side='both' reflect that half node for
+    node as 1 - x, for side='right' mirror the mesh."""
+    half = np.concatenate([layer, np.linspace(float(layer[-1]), end, cells + 1)[1:]])
+    pts = np.concatenate([half, (1.0 - half[::-1])[1:]]) if side == "both" else half
+    pts[-1] = 1.0
     mesh = _mesh(pts, label, meta)
     return mirror(mesh) if side == "right" else mesh
-
-
-def _layer_cells(n: int, side: str, who: str) -> tuple[int, float]:
-    """Layer cell count and transition clamp: n/4 and 1/4 for side='both',
-    n/2 and 1/2 otherwise."""
-    divisor = 4 if side == "both" else 2
-    if n < 2 * divisor or n % divisor != 0:
-        raise ValueError(f"{who} needs n divisible by {divisor} and >= {2 * divisor}, got {n}")
-    return n // divisor, 1.0 / divisor
-
-
-def _layer_mesh(fine: np.ndarray, n: int, side: str, label: str) -> Mesh1D:
-    """Complete the layer points on [0, sigma] with n/2 uniform cells, then
-    the layer points reflected at x = 1 for side='both', and orient."""
-    sigma = float(fine[-1])
-    if side == "both":
-        pts = np.concatenate(
-            [fine, np.linspace(sigma, 1.0 - sigma, n // 2 + 1)[1:], (1.0 - fine[::-1])[1:]]
-        )
-    else:
-        pts = np.concatenate([fine, np.linspace(sigma, 1.0, n // 2 + 1)[1:]])
-    pts[-1] = 1.0
-    return _oriented(pts, side, label, {"sigma": sigma})
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +188,15 @@ def bakhvalov_shishkin(spec: LayerSpec, n: int) -> Mesh1D:
     The graded points end at the Shishkin transition width_scale*ln(n); the
     mesh degenerates to uniform when that transition reaches the clamp.
     """
-    k, limit = _layer_cells(n, spec.side, "bakhvalov_shishkin")
+    k, end = _band_cells(n, 2, spec.side, "bakhvalov_shishkin")
     label = f"bakhvalov_shishkin(eps={spec.eps:g},n={n},side={spec.side})"
     t = np.arange(k + 1) / (2.0 * k)  # [0, 1/2]
     fine = spec.width_scale * -np.log1p(-2.0 * (1.0 - 1.0 / n) * t)
-    if fine[-1] >= limit:
+    if fine[-1] >= end / 2:
         mesh = uniform_mesh(n, label)
         mesh.meta["degenerate"] = "transition reached the uniform clamp"
         return mesh
-    return _layer_mesh(fine, n, spec.side, label)
+    return _finish(fine, k, end, spec.side, label, {"sigma": float(fine[-1])})
 
 
 def bakhvalov_type(spec: LayerSpec, n: int) -> Mesh1D:
@@ -212,10 +205,10 @@ def bakhvalov_type(spec: LayerSpec, n: int) -> Mesh1D:
     The transition point is min(1/2, width_scale*ln(1/eps)); the mesh
     degenerates to uniform when the clamp is active or eps >= 1.
     """
-    k, limit = _layer_cells(n, spec.side, "bakhvalov_type")
+    k, end = _band_cells(n, 2, spec.side, "bakhvalov_type")
     label = f"bakhvalov_type(eps={spec.eps:g},n={n},side={spec.side})"
     a = spec.width_scale
-    if spec.eps >= 1.0 or a * math.log(1.0 / spec.eps) >= limit:
+    if spec.eps >= 1.0 or a * math.log(1.0 / spec.eps) >= end / 2:
         mesh = uniform_mesh(n, label)
         mesh.meta["degenerate"] = "transition reached the uniform clamp"
         return mesh
@@ -225,14 +218,15 @@ def bakhvalov_type(spec: LayerSpec, n: int) -> Mesh1D:
     # at t=1/2 the formula collapses to a*ln(1/eps); evaluate that directly
     # instead of routing through fl(1-eps), which costs ~eps^-1 ulps.
     fine[-1] = a * -math.log(spec.eps)
-    return _layer_mesh(fine, n, spec.side, label)
+    return _finish(fine, k, end, spec.side, label, {"sigma": float(fine[-1])})
 
 
 def system_shishkin(layers: tuple[LayerSpec, ...] | list[LayerSpec], n: int) -> Mesh1D:
     """Piecewise-uniform Shishkin mesh for one or several layer widths.
 
     With one layer it is the classical Shishkin mesh: n/2 cells on
-    [0, min(1/2, width_scale*ln(n))] and n/2 beyond.  Transition points descend from tau_{m+1} = 1 (or 1/2 for side='both')
+    [0, min(1/2, width_scale*ln(n))] and n/2 beyond.  Transition points
+    descend from tau_{m+1} = 1 (or 1/2 for side='both')
     via tau_k = min(k*tau_{k+1}/(k+1), sigma*eps_k*ln(n)/beta) for the
     ascending eps_k, with sigma the layers' common mu and beta their
     smallest gamma; every band [tau_k, tau_{k+1}] carries the same cell
@@ -253,28 +247,18 @@ def system_shishkin(layers: tuple[LayerSpec, ...] | list[LayerSpec], n: int) -> 
         raise ValueError(f"eps values must ascend, got {eps_arr}")
     side, sigma = sides[0], mus[0]
     beta = min(layer.gamma for layer in layers)
-    both_sides = side == "both"
     m = len(eps_arr)
-    bands = m + 1
-    per = 2 * bands if both_sides else bands
-    if n % per != 0 or n < 2 * per:
-        raise ValueError(
-            f"system_shishkin needs n divisible by {per} and >= {2 * per}, got {n}"
-        )
-    outer = 0.5 if both_sides else 1.0
+    cells, end = _band_cells(n, m + 1, side, "system_shishkin")
     tau = [0.0] * (m + 2)
-    tau[m + 1] = outer
+    tau[m + 1] = end
     for k in range(m, 0, -1):
         tau[k] = min(k * tau[k + 1] / (k + 1), sigma * eps_arr[k - 1] * math.log(n) / beta)
-    cells = n // per
-    half = [np.linspace(tau[0], tau[1], cells + 1)]
-    for k in range(1, m + 1):
-        half.append(np.linspace(tau[k], tau[k + 1], cells + 1)[1:])
-    left = np.concatenate(half)
-    pts = np.concatenate([left, (1.0 - left[::-1])[1:]]) if both_sides else left
-    pts[-1] = 1.0
+    layer = np.concatenate(
+        [np.linspace(tau[0], tau[1], cells + 1)]
+        + [np.linspace(tau[k], tau[k + 1], cells + 1)[1:] for k in range(1, m)]
+    )
     label = f"system_shishkin(m={m},n={n},sigma={sigma:g},beta={beta:g},side={side})"
-    return _oriented(pts, side, label, {"taus": tuple(float(t) for t in tau)})
+    return _finish(layer, cells, end, side, label, {"taus": tuple(float(t) for t in tau)})
 
 
 def mirror(mesh: Mesh1D) -> Mesh1D:

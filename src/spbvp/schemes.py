@@ -4,7 +4,8 @@ Assembles block-tridiagonal operators for coupled singularly perturbed
 two-point BVPs on arbitrary meshes: simple and midpoint upwinding and a
 fitted (coth-factor) scheme for convection-diffusion, the central second
 difference for reaction-diffusion, and a linear Galerkin FEM for both.
-Boundary rows are identity blocks carrying the Dirichlet data.
+Each assembler adds only interior terms; ``assemble`` writes the boundary
+rows of every scheme: identity blocks carrying the Dirichlet data.
 """
 from __future__ import annotations
 
@@ -69,14 +70,6 @@ def apply(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _blank_blocks(n_nodes: int, m: int):
-    sub = np.zeros((n_nodes - 1, m, m))
-    diag = np.zeros((n_nodes, m, m))
-    sup = np.zeros((n_nodes - 1, m, m))
-    rhs = np.zeros((n_nodes, m))
-    return sub, diag, sup, rhs
-
-
 def _component_diagonals(blocks: np.ndarray) -> np.ndarray:
     """Writable (rows, m) view of the diagonals of contiguous (rows, m, m) blocks."""
     return blocks.reshape(len(blocks), -1)[:, ::blocks.shape[1] + 1]
@@ -92,23 +85,6 @@ def _add_second_difference(sub, diag, sup, hl, hr, d):
     _component_diagonals(sup)[1:] += -d[None, :] * c2p[:, None]
 
 
-def _finalize(sub, diag, sup, rhs, problem, mesh, tag):
-    m = problem.m
-    eye = np.eye(m)
-    diag[0] = eye
-    sup[0] = 0.0
-    rhs[0] = problem.g0
-    diag[-1] = eye
-    sub[-1] = 0.0
-    rhs[-1] = problem.g1
-    return DiscreteOperator(
-        matrix=BlockTridiag(sub=sub, diag=diag, sup=sup),
-        rhs=rhs,
-        mesh=mesh,
-        scheme_tag=tag,
-    )
-
-
 def _warn_on_sign_change(bkk: np.ndarray) -> None:
     for k in range(bkk.shape[1]):
         col = bkk[:, k]
@@ -120,37 +96,34 @@ def _warn_on_sign_change(bkk: np.ndarray) -> None:
             )
 
 
-def _assemble_simple_upwind(problem, mesh):
+def _assemble_finite_difference(problem, mesh, sub, diag, sup, rhs):
+    """Second difference, convection (if any) upwinded entry by entry,
+    nodal reaction and source: without convection, the central scheme."""
     x = mesh.points
-    n = len(x) - 1
-    m = problem.m
     h = mesh.spacings
     hl, hr = h[:-1], h[1:]
-    sub, diag, sup, rhs = _blank_blocks(n + 1, m)
     _add_second_difference(sub, diag, sup, hl, hr, problem.diffusion)
     xi = x[1:-1]
-    b_vals = problem.b(xi)
-    idx = np.arange(m)
-    _warn_on_sign_change(b_vals[:, idx, idx])
-    # every entry upwinded by its own sign: D- where positive, D+ where
-    # negative (reduces to the diagonal rule for weakly coupled systems)
-    bp = np.maximum(b_vals, 0.0)
-    bm = np.minimum(b_vals, 0.0)
-    sub[:-1] += -bp / hl[:, None, None]
-    diag[1:-1] += bp / hl[:, None, None] - bm / hr[:, None, None]
-    sup[1:] += bm / hr[:, None, None]
+    if problem.b is not None:
+        b_vals = problem.b(xi)
+        idx = np.arange(problem.m)
+        _warn_on_sign_change(b_vals[:, idx, idx])
+        # every entry upwinded by its own sign: D- where positive, D+ where
+        # negative (reduces to the diagonal rule for weakly coupled systems)
+        bp = np.maximum(b_vals, 0.0)
+        bm = np.minimum(b_vals, 0.0)
+        sub[:-1] += -bp / hl[:, None, None]
+        diag[1:-1] += bp / hl[:, None, None] - bm / hr[:, None, None]
+        sup[1:] += bm / hr[:, None, None]
     diag[1:-1] += problem.a(xi)
     rhs[1:-1] = problem.f(xi)
-    return sub, diag, sup, rhs
 
 
-def _assemble_midpoint_upwind(problem, mesh):
+def _assemble_midpoint_upwind(problem, mesh, sub, diag, sup, rhs):
     x = mesh.points
-    n = len(x) - 1
     m = problem.m
     h = mesh.spacings
     hl, hr = h[:-1], h[1:]
-    sub, diag, sup, rhs = _blank_blocks(n + 1, m)
     _add_second_difference(sub, diag, sup, hl, hr, problem.diffusion)
     xi = x[1:-1]
     idx = np.arange(m)
@@ -174,25 +147,12 @@ def _assemble_midpoint_upwind(problem, mesh):
         diag[1:-1, k, :] += 0.5 * (al[:, k, :] * wk[:, None] + ar[:, k, :] * (1.0 - wk)[:, None])
         sup[1:, k, :] += 0.5 * ar[:, k, :] * (1.0 - wk)[:, None]
         rhs[1:-1, k] = fl[:, k] * wk + fr[:, k] * (1.0 - wk)
-    return sub, diag, sup, rhs
-
-
-def _assemble_central(problem, mesh):
-    x = mesh.points
-    n = len(x) - 1
-    h = mesh.spacings
-    sub, diag, sup, rhs = _blank_blocks(n + 1, problem.m)
-    _add_second_difference(sub, diag, sup, h[:-1], h[1:], problem.diffusion)
-    xi = x[1:-1]
-    diag[1:-1] += problem.a(xi)
-    rhs[1:-1] = problem.f(xi)
-    return sub, diag, sup, rhs
 
 
 _GAUSS2 = 1.0 / math.sqrt(3.0)
 
 
-def _assemble_galerkin(problem, mesh):
+def _assemble_galerkin(problem, mesh, sub, diag, sup, rhs):
     """Linear-element Galerkin rows via 2-point Gauss per cell.
 
     Two-point Gauss is exact through cubics, hence exact for every term with
@@ -203,7 +163,6 @@ def _assemble_galerkin(problem, mesh):
     n = len(x) - 1
     m = problem.m
     h = mesh.spacings  # (n,)
-    sub, diag, sup, rhs = _blank_blocks(n + 1, m)
 
     mid = 0.5 * (x[:-1] + x[1:])
     xg = np.stack([mid - 0.5 * h * _GAUSS2, mid + 0.5 * h * _GAUSS2], axis=1)  # (n, 2)
@@ -248,12 +207,11 @@ def _assemble_galerkin(problem, mesh):
     rhs[1:] += load_r
     # move the boundary couplings into the rhs so the remaining matrix stays
     # symmetric when the bulk assembly is; the boundary rows themselves are
-    # written by _finalize
+    # written by assemble
     rhs[1] -= sub[0] @ problem.g0
     sub[0] = 0.0
     rhs[-2] -= sup[-1] @ problem.g1
     sup[-1] = 0.0
-    return sub, diag, sup, rhs
 
 
 def _fitting_factor(rho: np.ndarray) -> np.ndarray:
@@ -272,7 +230,7 @@ def _fitting_factor(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble_ias(problem, mesh):
+def _assemble_ias(problem, mesh, sub, diag, sup, rhs):
     """Fitted-operator scheme on a uniform mesh.
 
     At each node the (symmetric) convection matrix is eigendecomposed,
@@ -310,7 +268,6 @@ def _assemble_ias(problem, mesh):
     fitted = eps * (p * sig[..., None, :]) @ np.swapaxes(p, -1, -2)
     fitted = np.broadcast_to(fitted, (n - 1, m, m))
 
-    sub, diag, sup, rhs = _blank_blocks(n + 1, m)
     inv_h2 = 1.0 / (h * h)
     sub[:-1] += -fitted * inv_h2
     diag[1:-1] += 2.0 * fitted * inv_h2
@@ -320,18 +277,18 @@ def _assemble_ias(problem, mesh):
     sup[1:] += b_vals * inv_2h
     diag[1:-1] += problem.a(xi)
     rhs[1:-1] = problem.f(xi)
-    return sub, diag, sup, rhs
 
 
 _CD = ("weakly-coupled-cd", "strongly-coupled-cd")
 
 # Each scheme's assembler and the problem kinds it serves.  Midpoint
 # upwinding is defined for diagonal convection only; central differences
-# drop convection; galerkin-fem serves every kind.
+# are simple upwinding of a problem without convection; galerkin-fem serves
+# every kind.
 _ASSEMBLERS = {
-    "simple-upwind": (_assemble_simple_upwind, _CD),
+    "simple-upwind": (_assemble_finite_difference, _CD),
     "midpoint-upwind": (_assemble_midpoint_upwind, ("weakly-coupled-cd",)),
-    "central": (_assemble_central, ("reaction-diffusion",)),
+    "central": (_assemble_finite_difference, ("reaction-diffusion",)),
     "ias": (_assemble_ias, _CD),
     "galerkin-fem": (_assemble_galerkin, KINDS),
 }
@@ -346,10 +303,11 @@ def assemble(problem: SystemProblem, mesh: Mesh1D, scheme: str) -> DiscreteOpera
     -d_k D+D- u_k + b_kk (D- if b_kk > 0 else D+) u_k + sum_j a_kj u_j = f_k
     with every convection entry upwinded by its own sign; the midpoint
     variant moves convection, reaction and source to the upwind cell
-    midpoint with the unknown averaged there; central drops convection
-    (reaction-diffusion only); ias fits the second difference to the
+    midpoint with the unknown averaged there; central is the same rows for
+    a problem without convection (reaction-diffusion only); ias fits the second difference to the
     convection (uniform meshes only); galerkin-fem integrates linear
-    elements.
+    elements.  The first and last rows are identity blocks with zero
+    couplings that carry g0 and g1.
     """
     if scheme not in _ASSEMBLERS:
         raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
@@ -358,7 +316,15 @@ def assemble(problem: SystemProblem, mesh: Mesh1D, scheme: str) -> DiscreteOpera
         raise ValueError(
             f"scheme {scheme!r} serves {', '.join(kinds)}; the problem is {problem.kind}"
         )
-    return _finalize(*build(problem, mesh), problem, mesh, scheme)
+    n_nodes, m = len(mesh.points), problem.m
+    sub, sup = np.zeros((n_nodes - 1, m, m)), np.zeros((n_nodes - 1, m, m))
+    diag, rhs = np.zeros((n_nodes, m, m)), np.zeros((n_nodes, m))
+    build(problem, mesh, sub, diag, sup, rhs)
+    diag[0] = diag[-1] = np.eye(m)
+    sup[0] = sub[-1] = 0.0
+    rhs[0], rhs[-1] = problem.g0, problem.g1
+    matrix = BlockTridiag(sub=sub, diag=diag, sup=sup)
+    return DiscreteOperator(matrix=matrix, rhs=rhs, mesh=mesh, scheme_tag=scheme)
 
 
 # ---------------------------------------------------------------------------

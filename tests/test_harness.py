@@ -25,7 +25,6 @@ from spbvp.harness import (
     mesh_family,
     problem_family,
     raw_rate,
-    reference_discrepancy,
     report_emit,
     report_from_json,
     run_study,
@@ -248,13 +247,6 @@ def test_max_norm_error_regression_lock():
     assert math.isclose(
         max_norm_error(sol, ref), UPWIND_SHISHKIN_N64_EPS1M6, rel_tol=1e-12
     )
-
-
-def test_reference_discrepancy_trivial_cases():
-    a = ReferenceSolution(kind="exact", evaluator=lambda x: x[:, None])
-    b = ReferenceSolution(kind="exact", evaluator=lambda x: x[:, None] + 0.25)
-    assert reference_discrepancy(a, a) == 0.0
-    assert abs(reference_discrepancy(a, b) - 0.25) <= 1e-15
 
 
 def test_oracle_reference_is_lazy():
@@ -698,6 +690,14 @@ def test_report_record_does_not_truncate_n():
     # 128.9 is no N of the grid: it must not look up the N = 128 record
     with pytest.raises(ValueError, match="N values must be integers, got 128.9"):
         rep.record(128.9, (1e-6,))
+
+
+def test_report_record_names_a_value_missing_from_the_grid():
+    rep = _report([[0.3, 0.4], [0.2, 0.15], [0.05, 0.06]])
+    with pytest.raises(ValueError, match=r"N=48 is not in the report's grid N=\[64, 128, 256\]"):
+        rep.record(48, 1e-4)
+    with pytest.raises(ValueError, match=r"eps=\(1e-05,\) is not in the report's grid eps="):
+        rep.record(128, 1e-5)
 
 
 def test_single_eps_problem_families_reject_eps_vectors():

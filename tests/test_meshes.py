@@ -129,6 +129,15 @@ def test_shishkin_both_sides_symmetric():
     assert np.allclose(m.points + m.points[::-1], 1.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("family", [shishkin, bakhvalov_shishkin, bakhvalov_type])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("n", [8, 16, 64, 100, 1024])
+def test_both_sides_layer_mesh_is_exact_reflection(family, eps, n):
+    p = family(LayerSpec(eps=eps, side="both"), n).points
+    h = n // 2 + 1
+    assert np.array_equal(p[::-1][:h], 1.0 - p[:h])
+
+
 def test_shishkin_rejects_odd_n():
     with pytest.raises(ValueError):
         shishkin(LayerSpec(eps=1e-4), 63)
