@@ -9,6 +9,14 @@ numpy call and each still rounds as it does alone.  The kernel always works
 on a stack: a single system enters as a stack of one, which is a view of
 its arrays, not a copy.
 
+An assembled operator stores each block diagonal node-axis-last: its
+(n, m, m) arrays are transposed views of (m, m, n) memory, in which every
+block entry is one contiguous vector over the nodes.  ``matvec`` and the
+wide levels below run over those vectors, and ``stack`` keeps its members'
+layout.  For m = 1 both layouts are the same memory.  With m <= 2 a sum of
+products rounds alike in either layout; with m = 3 the wide levels' sums
+may round differently from those on row-major blocks, in the last bits.
+
 Each level eliminates half of the block rows left, with one of three
 kernels chosen by the block size m and that level's row count per system:
 
@@ -24,7 +32,13 @@ kernels chosen by the block size m and that level's row count per system:
   product is one ``einsum`` pass of sums of products of these vectors,
   and the pivot blocks are inverted together by a vectorized Gauss-Jordan
   elimination.  With m <= 3 a LAPACK/BLAS call per block is almost all
-  call overhead, which these long vector operations do not pay.
+  call overhead, which these long vector operations do not pay.  The first
+  wide level reads a node-last operator's couplings in place.
+
+A narrow m >= 2 level copies the couplings it keeps for the applies (lo and
+up) row-major, at the first level too: numpy's block-times-vector products
+round differently on the strided blocks of a node-last operator, and the
+copy keeps the rounding of a row-major one.
 
 The reduction is factored once per call and applied twice, the second time
 as one pass of iterative refinement.
@@ -49,7 +63,9 @@ class BlockTridiag:
 
     ``sub[..., i, :, :]`` couples block row i+1 to block column i,
     ``sup[..., i, :, :]`` couples block row i to block column i+1.  ``n`` and
-    ``m`` are the block count and block size of each system.
+    ``m`` are the block count and block size of each system.  The fields are
+    the float arrays checked here; any memory layout is accepted, and an
+    assembled operator's are views of node-axis-last memory.
     """
 
     sub: np.ndarray  # (n-1, m, m) or (k, n-1, m, m)
@@ -61,10 +77,12 @@ class BlockTridiag:
         if d.ndim not in (3, 4) or d.shape[-1] != d.shape[-2]:
             raise ValueError(f"diag must be (n, m, m) or (k, n, m, m), got {d.shape}")
         *k, n, m, _ = d.shape
-        for name, arr in (("sub", self.sub), ("sup", self.sup)):
-            a = np.asarray(arr, dtype=float)
+        object.__setattr__(self, "diag", d)
+        for name in ("sub", "sup"):
+            a = np.asarray(getattr(self, name), dtype=float)
             if a.shape != (*k, n - 1, m, m):
                 raise ValueError(f"{name} must be {(*k, n - 1, m, m)}, got {a.shape}")
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -79,10 +97,14 @@ class BlockTridiag:
         want = self.diag.shape[:-1]
         if v.shape != want:
             raise ValueError(f"vector must be {want}, got {v.shape}")
-        out = np.einsum("...nij,...nj->...ni", self.diag, v)
-        out[..., 1:, :] += np.einsum("...nij,...nj->...ni", self.sub, v[..., :-1, :])
-        out[..., :-1, :] += np.einsum("...nij,...nj->...ni", self.sup, v[..., 1:, :])
-        return out
+        # blocks.swapaxes(-3, -1)[..., j, i, r] is entry (i, j) of block r, so
+        # each product runs over the contiguous node vectors of a node-last
+        # operator and allocates nothing block-sized
+        vt = np.ascontiguousarray(v.swapaxes(-1, -2))  # (..., m, n)
+        out = np.einsum("...jir,...jr->...ir", self.diag.swapaxes(-3, -1), vt)
+        out[..., 1:] += np.einsum("...jir,...jr->...ir", self.sub.swapaxes(-3, -1), vt[..., :-1])
+        out[..., :-1] += np.einsum("...jir,...jr->...ir", self.sup.swapaxes(-3, -1), vt[..., 1:])
+        return np.ascontiguousarray(out.swapaxes(-1, -2))
 
     def to_dense(self) -> np.ndarray:
         n, m = self.n, self.m
@@ -154,7 +176,8 @@ def _singular(level: int) -> SingularMatrixError:
     return SingularMatrixError(f"singular pivot block at cyclic reduction level {level}")
 
 
-# Levels of m >= 2 blocks with at least this many rows run component-major.
+# Levels of m >= 2 blocks with at least this many rows run component-major,
+# and the first of them reads a node-axis-last operator without a copy.
 # Measured on a 2-vCPU VM (numpy 2.4.6, OpenBLAS), one level's block work (an
 # inverse and six products) runs component-major 1.4x as fast as the batched
 # calls at 256 rows for m = 2 and 3, 3.7x and 2.7x at 1024 and 4.9x and 3.5x
@@ -169,10 +192,11 @@ _WIDE = 2048
 
 
 def _cm(a: np.ndarray) -> np.ndarray:
-    """(k, p, q, rows) view of a (k, rows, p, q) stack.  Rows more than two
-    items apart (the operator's own block arrays) are copied component-major
-    first: einsum runs about 10x slower on them, and the copy costs about as
-    much as one product."""
+    """(k, p, q, rows) view of a (k, rows, p, q) stack.  A node-last
+    operator's blocks, and every other row of them, are read in place; rows
+    more than two items apart (a row-major operator or right-hand side) are
+    copied component-major first: einsum runs about 10x slower on them, and
+    the copy costs about as much as one product."""
     t = a.transpose(0, 2, 3, 1)
     return t if t.strides[-1] <= 2 * t.itemsize else t.copy()
 
@@ -260,11 +284,12 @@ def _ops(rows: int, m: int):
 def _factor(mat: BlockTridiag) -> tuple[list, np.ndarray]:
     """Per-level (inv, left, right, lo, up) of the reduction, and the last
     block of each system."""
-    sub, diag, sup = (np.asarray(a, dtype=float) for a in (mat.sub, mat.diag, mat.sup))
+    sub, diag, sup = mat.sub, mat.diag, mat.sup
     levels = []
     try:
         while (rows := diag.shape[1]) > 1:
-            inv_of, mul, copy = _ops(rows, diag.shape[2])
+            m = diag.shape[2]
+            inv_of, mul, copy = _ops(rows, m)
             ko = rows // 2  # odd rows
             nr = (rows - 1) // 2  # odd rows with a right neighbour
             inv = inv_of(diag[:, 1::2])
@@ -273,7 +298,9 @@ def _factor(mat: BlockTridiag) -> tuple[list, np.ndarray]:
             right = mul(inv[:, :nr], sup[:, 1::2])
             # even row 2s reaches odd row 2s-1 through lo[s-1], 2s+1 through up[s]
             lo, up = sub[:, 1::2], sup[:, 0::2]
-            if levels:  # a view would keep this level's whole sub/sup alive
+            # a view would keep this level's whole sub/sup alive; a narrow
+            # m >= 2 level copies the operator's own too (module docstring)
+            if levels or (m > 1 and rows < _WIDE):
                 lo, up = copy(lo), copy(up)
             levels.append((inv, left, right, lo, up))
             diag = copy(diag[:, 0::2])

@@ -6,6 +6,12 @@ fitted (coth-factor) scheme for convection-diffusion, the central second
 difference for reaction-diffusion, and a linear Galerkin FEM for both.
 Each assembler adds only interior terms; ``assemble`` writes the boundary
 rows of every scheme: identity blocks carrying the Dirichlet data.
+
+Every block diagonal is allocated and written node-axis-last, (m, m, rows),
+so each numpy call of the assembly and of the residual guard runs over
+contiguous node vectors; coefficients evaluated as (rows, m, m) are added
+through transposed views.  The operator's ``BlockTridiag`` carries the
+(rows, m, m) views of that memory.
 """
 from __future__ import annotations
 
@@ -71,8 +77,9 @@ def apply(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
 
 
 def _component_diagonals(blocks: np.ndarray) -> np.ndarray:
-    """Writable (rows, m) view of the diagonals of contiguous (rows, m, m) blocks."""
-    return blocks.reshape(len(blocks), -1)[:, ::blocks.shape[1] + 1]
+    """Writable (m, rows) view of the diagonals of contiguous (m, m, rows) blocks."""
+    m = len(blocks)
+    return blocks.reshape(m * m, -1)[::m + 1]
 
 
 def _add_second_difference(sub, diag, sup, hl, hr, d):
@@ -80,9 +87,9 @@ def _add_second_difference(sub, diag, sup, hl, hr, d):
     s = hl + hr
     c2m = 2.0 / (hl * s)
     c2p = 2.0 / (hr * s)
-    _component_diagonals(sub)[:-1] += -d[None, :] * c2m[:, None]
-    _component_diagonals(diag)[1:-1] += d[None, :] * (c2m + c2p)[:, None]
-    _component_diagonals(sup)[1:] += -d[None, :] * c2p[:, None]
+    _component_diagonals(sub)[:, :-1] += -d[:, None] * c2m
+    _component_diagonals(diag)[:, 1:-1] += d[:, None] * (c2m + c2p)
+    _component_diagonals(sup)[:, 1:] += -d[:, None] * c2p
 
 
 def _warn_on_sign_change(bkk: np.ndarray) -> None:
@@ -110,12 +117,13 @@ def _assemble_finite_difference(problem, mesh, sub, diag, sup, rhs):
         _warn_on_sign_change(b_vals[:, idx, idx])
         # every entry upwinded by its own sign: D- where positive, D+ where
         # negative (reduces to the diagonal rule for weakly coupled systems)
+        b_vals = b_vals.transpose(1, 2, 0)
         bp = np.maximum(b_vals, 0.0)
         bm = np.minimum(b_vals, 0.0)
-        sub[:-1] += -bp / hl[:, None, None]
-        diag[1:-1] += bp / hl[:, None, None] - bm / hr[:, None, None]
-        sup[1:] += bm / hr[:, None, None]
-    diag[1:-1] += problem.a(xi)
+        sub[..., :-1] += -bp / hl
+        diag[..., 1:-1] += bp / hl - bm / hr
+        sup[..., 1:] += bm / hr
+    diag[..., 1:-1] += problem.a(xi).transpose(1, 2, 0)
     rhs[1:-1] = problem.f(xi)
 
 
@@ -136,17 +144,17 @@ def _assemble_midpoint_upwind(problem, mesh, sub, diag, sup, rhs):
     al, ar = problem.a(xl), problem.a(xr)
     fl, fr = problem.f(xl), problem.f(xr)
     w = (bkk >= 0.0).astype(float)  # 1 -> backward cell, 0 -> forward cell
-    for k in range(m):
-        wk = w[:, k]
-        sub[:-1, k, k] += -bl[:, k] / hl * wk
-        diag[1:-1, k, k] += bl[:, k] / hl * wk - br[:, k] / hr * (1.0 - wk)
-        sup[1:, k, k] += br[:, k] / hr * (1.0 - wk)
-        # reaction and source live at the same midpoint as the convection,
-        # with the unknown averaged over that cell
-        sub[:-1, k, :] += 0.5 * al[:, k, :] * wk[:, None]
-        diag[1:-1, k, :] += 0.5 * (al[:, k, :] * wk[:, None] + ar[:, k, :] * (1.0 - wk)[:, None])
-        sup[1:, k, :] += 0.5 * ar[:, k, :] * (1.0 - wk)[:, None]
-        rhs[1:-1, k] = fl[:, k] * wk + fr[:, k] * (1.0 - wk)
+    rhs[1:-1] = fl * w + fr * (1.0 - w)
+    bl, br, w = bl.T, br.T, w.T  # (m, N-1)
+    _component_diagonals(sub)[:, :-1] += -bl / hl * w
+    _component_diagonals(diag)[:, 1:-1] += bl / hl * w - br / hr * (1.0 - w)
+    _component_diagonals(sup)[:, 1:] += br / hr * (1.0 - w)
+    # reaction and source live at the same midpoint as the convection, with
+    # the unknown averaged over that cell; row k is upwinded by w[k]
+    al, ar, wr = al.transpose(1, 2, 0), ar.transpose(1, 2, 0), w[:, None, :]
+    sub[..., :-1] += 0.5 * al * wr
+    diag[..., 1:-1] += 0.5 * (al * wr + ar * (1.0 - wr))
+    sup[..., 1:] += 0.5 * ar * (1.0 - wr)
 
 
 _GAUSS2 = 1.0 / math.sqrt(3.0)
@@ -175,31 +183,31 @@ def _assemble_galerkin(problem, mesh, sub, diag, sup, rhs):
 
     # stiffness: d_k / h * [[1,-1],[-1,1]] per component
     d = problem.diffusion
-    stiff = d[None, :] / h[:, None]  # (n, m)
+    stiff = d[:, None] / h  # (m, n)
     diag_kk = _component_diagonals(diag)
-    diag_kk[:-1] += stiff
-    diag_kk[1:] += stiff
+    diag_kk[:, :-1] += stiff
+    diag_kk[:, 1:] += stiff
     _component_diagonals(sub)[:] += -stiff
     _component_diagonals(sup)[:] += -stiff
 
     # reaction mass terms: sum_g w phi_l phi_l' A(x_g)
     def mass(pl, pr):
-        return np.einsum("ng,ng,ngjk->njk", wq[:, None] * pl, pr, a_g)
+        return np.einsum("ng,ng,ngjk->jkn", wq[:, None] * pl, pr, a_g)
 
-    diag[:-1] += mass(phi_l, phi_l)
+    diag[..., :-1] += mass(phi_l, phi_l)
     sup[:] += mass(phi_l, phi_r)
     sub[:] += mass(phi_r, phi_l)
-    diag[1:] += mass(phi_r, phi_r)
+    diag[..., 1:] += mass(phi_r, phi_r)
 
     # convection: int phi_l B u' with u' cellwise constant (+-1/h per node)
     if problem.b is not None:
         b_g = problem.b(xg.ravel()).reshape(n, 2, m, m)
-        int_bl = np.einsum("ng,ngjk->njk", wq[:, None] * phi_l, b_g) / h[:, None, None]
-        int_br = np.einsum("ng,ngjk->njk", wq[:, None] * phi_r, b_g) / h[:, None, None]
-        diag[:-1] += -int_bl
+        int_bl = np.einsum("ng,ngjk->jkn", wq[:, None] * phi_l, b_g) / h
+        int_br = np.einsum("ng,ngjk->jkn", wq[:, None] * phi_r, b_g) / h
+        diag[..., :-1] += -int_bl
         sup[:] += int_bl
         sub[:] += -int_br
-        diag[1:] += int_br
+        diag[..., 1:] += int_br
 
     load_l = np.einsum("ng,ngj->nj", wq[:, None] * phi_l, f_g)
     load_r = np.einsum("ng,ngj->nj", wq[:, None] * phi_r, f_g)
@@ -207,11 +215,12 @@ def _assemble_galerkin(problem, mesh, sub, diag, sup, rhs):
     rhs[1:] += load_r
     # move the boundary couplings into the rhs so the remaining matrix stays
     # symmetric when the bulk assembly is; the boundary rows themselves are
-    # written by assemble
-    rhs[1] -= sub[0] @ problem.g0
-    sub[0] = 0.0
-    rhs[-2] -= sup[-1] @ problem.g1
-    sup[-1] = 0.0
+    # written by assemble; the strided boundary blocks are copied row-major,
+    # on which the block-times-vector product rounds as it always has
+    rhs[1] -= sub[..., 0].copy() @ problem.g0
+    sub[..., 0] = 0.0
+    rhs[-2] -= sup[..., -1].copy() @ problem.g1
+    sup[..., -1] = 0.0
 
 
 def _fitting_factor(rho: np.ndarray) -> np.ndarray:
@@ -266,16 +275,17 @@ def _assemble_ias(problem, mesh, sub, diag, sup, rhs):
     lam, p = np.linalg.eigh(b_node)
     sig = _fitting_factor(lam * h / (2.0 * eps))
     fitted = eps * (p * sig[..., None, :]) @ np.swapaxes(p, -1, -2)
-    fitted = np.broadcast_to(fitted, (n - 1, m, m))
+    fitted = np.broadcast_to(fitted, (n - 1, m, m)).transpose(1, 2, 0)
+    b_vals = b_vals.transpose(1, 2, 0)
 
     inv_h2 = 1.0 / (h * h)
-    sub[:-1] += -fitted * inv_h2
-    diag[1:-1] += 2.0 * fitted * inv_h2
-    sup[1:] += -fitted * inv_h2
+    sub[..., :-1] += -fitted * inv_h2
+    diag[..., 1:-1] += 2.0 * fitted * inv_h2
+    sup[..., 1:] += -fitted * inv_h2
     inv_2h = 1.0 / (2.0 * h)
-    sub[:-1] += -b_vals * inv_2h
-    sup[1:] += b_vals * inv_2h
-    diag[1:-1] += problem.a(xi)
+    sub[..., :-1] += -b_vals * inv_2h
+    sup[..., 1:] += b_vals * inv_2h
+    diag[..., 1:-1] += problem.a(xi).transpose(1, 2, 0)
     rhs[1:-1] = problem.f(xi)
 
 
@@ -317,13 +327,14 @@ def assemble(problem: SystemProblem, mesh: Mesh1D, scheme: str) -> DiscreteOpera
             f"scheme {scheme!r} serves {', '.join(kinds)}; the problem is {problem.kind}"
         )
     n_nodes, m = len(mesh.points), problem.m
-    sub, sup = np.zeros((n_nodes - 1, m, m)), np.zeros((n_nodes - 1, m, m))
-    diag, rhs = np.zeros((n_nodes, m, m)), np.zeros((n_nodes, m))
+    # every block array is stored node-axis-last, (m, m, rows)
+    sub, sup = np.zeros((m, m, n_nodes - 1)), np.zeros((m, m, n_nodes - 1))
+    diag, rhs = np.zeros((m, m, n_nodes)), np.zeros((n_nodes, m))
     build(problem, mesh, sub, diag, sup, rhs)
-    diag[0] = diag[-1] = np.eye(m)
-    sup[0] = sub[-1] = 0.0
+    diag[..., 0] = diag[..., -1] = np.eye(m)
+    sup[..., 0] = sub[..., -1] = 0.0
     rhs[0], rhs[-1] = problem.g0, problem.g1
-    matrix = BlockTridiag(sub=sub, diag=diag, sup=sup)
+    matrix = BlockTridiag(sub.transpose(2, 0, 1), diag.transpose(2, 0, 1), sup.transpose(2, 0, 1))
     return DiscreteOperator(matrix=matrix, rhs=rhs, mesh=mesh, scheme_tag=scheme)
 
 
@@ -333,13 +344,14 @@ def assemble(problem: SystemProblem, mesh: Mesh1D, scheme: str) -> DiscreteOpera
 
 
 def _row_abs_sum(blocks: np.ndarray) -> np.ndarray:
-    """np.abs(blocks).sum(axis=2), added column by column in the same order:
-    on 2^16 blocks of m = 2 and 3 a reduction over the short last axis runs
-    3-5x slower than these column additions."""
-    a = np.abs(blocks)
-    out = a[:, :, 0].copy()
-    for j in range(1, a.shape[2]):
-        out += a[:, :, j]
+    """np.abs(blocks).sum(axis=2) of (rows, m, m) blocks, added column by
+    column in the same order: on 2^16 blocks of m = 2 and 3 a reduction over
+    the short last axis runs 3-5x slower than these column additions.  Each
+    column of a node-last operator is m contiguous node vectors, and the
+    sums keep that layout (numpy allocates ufunc outputs in input order)."""
+    out = np.abs(blocks[:, :, 0])
+    for j in range(1, blocks.shape[2]):
+        out += np.abs(blocks[:, :, j])
     return out
 
 

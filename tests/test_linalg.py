@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spbvp import linalg
-from spbvp.harness import mesh_family
+from spbvp.harness import mesh_family, problem_family
 from spbvp.linalg import BlockTridiag, SingularMatrixError, block_thomas, stack
 from spbvp.problems import builtin_scalar_cd
 from spbvp.schemes import assemble
@@ -159,6 +159,96 @@ def test_singular_member_fails_the_stacked_solve():
     bad = BlockTridiag(sub=good.sub, diag=diag, sup=good.sup)
     with pytest.raises(SingularMatrixError, match="level 0$"):
         block_thomas(stack([good, bad]), np.ones((2, 5, 1)))
+
+
+# ---------------------------------------------------------------------------
+# operators stored node-axis-last
+# ---------------------------------------------------------------------------
+
+
+def test_block_tridiag_keeps_the_float_arrays_it_checked():
+    mat = BlockTridiag(sub=[[[1.0]]], diag=[[[4.0]], [[4.0]]], sup=[[[1]]])
+    assert (mat.n, mat.m) == (2, 1)
+    for a in (mat.sub, mat.diag, mat.sup):
+        assert isinstance(a, np.ndarray) and a.dtype == float
+    assert np.allclose(block_thomas(mat, [[5.0], [5.0]]), [[1.0], [1.0]], rtol=1e-15)
+    # a float64 view passes through as it is, with its layout
+    blocks = np.zeros((2, 2, 5)).transpose(2, 0, 1)
+    edge = np.zeros((2, 2, 4)).transpose(2, 0, 1)
+    view = BlockTridiag(sub=edge, diag=blocks, sup=edge)
+    assert view.diag is blocks and view.sub is edge
+
+
+def assembled(problem, eps, mesh, scheme, n):
+    prob, _ = problem_family(problem)(eps)
+    op = assemble(prob, mesh_family(mesh)(prob, n), scheme)
+    for a in (op.matrix.sub, op.matrix.diag, op.matrix.sup):
+        assert a.transpose(1, 2, 0).flags.c_contiguous  # (m, m, rows) memory
+    return op
+
+
+def row_major(mat):
+    return BlockTridiag(*(np.ascontiguousarray(a) for a in (mat.sub, mat.diag, mat.sup)))
+
+
+_NARROW = [("strongly-coupled-2x2", "uniform", "ias", 1024)] + [
+    (problem, "system-shishkin", scheme, n)
+    for problem, schemes in (
+        ("weakly-coupled-cd", ("simple-upwind", "midpoint-upwind", "galerkin-fem")),
+        ("reaction-diffusion", ("central", "galerkin-fem")),
+    )
+    for scheme in schemes
+    for n in (96, 192, 384, 768)
+]
+
+
+@pytest.mark.parametrize("problem, mesh, scheme, n", _NARROW)
+def test_node_last_operator_solves_bitwise_as_row_major(problem, mesh, scheme, n):
+    # narrow m >= 2 levels copy the operator's level-0 couplings row-major:
+    # their block products round differently on strided blocks (the ias
+    # system at N = 1024 solves differently without that copy)
+    op = assembled(problem, None, mesh, scheme, n)
+    want = block_thomas(row_major(op.matrix), op.rhs)
+    assert np.array_equal(block_thomas(op.matrix, op.rhs), want)
+
+
+@pytest.mark.parametrize("n", [384, 4104])
+def test_stack_of_node_last_operators_solves_each_alone(n):
+    ops = [
+        assembled("weakly-coupled-cd", eps, "system-shishkin", "simple-upwind", n)
+        for eps in ((1e-3, 1e-5), (1e-4, 1e-8), (1e-6, 1e-6))
+    ]
+    mats = stack(op.matrix for op in ops)
+    for a in (mats.sub, mats.diag, mats.sup):
+        assert a.transpose(0, 2, 3, 1).flags.c_contiguous
+    got = block_thomas(mats, stack(op.rhs for op in ops))
+    for op, u in zip(ops, got):
+        assert np.array_equal(u, block_thomas(op.matrix, op.rhs))
+
+
+@pytest.mark.parametrize("problem, eps, mesh, scheme", [
+    ("strongly-coupled-2x2", None, "uniform", "ias"),
+    ("reaction-diffusion", (1e-4, 1e-6, 1e-8), "system-shishkin", "central"),
+])
+def test_wide_solve_copies_no_coupling_of_an_assembled_operator(
+    monkeypatch, problem, eps, mesh, scheme
+):
+    op = assembled(problem, eps, mesh, scheme, 4096)
+    blocks = (op.matrix.sub, op.matrix.diag, op.matrix.sup)
+    reads, copies = [], []
+    cm = linalg._cm
+
+    def recording(a):
+        t = cm(a)
+        if any(np.shares_memory(a, b) for b in blocks):
+            reads.append(a.shape)
+            if not np.shares_memory(t, a):
+                copies.append(a.shape)
+        return t
+
+    monkeypatch.setattr(linalg, "_cm", recording)
+    block_thomas(op.matrix, op.rhs)
+    assert reads and not copies
 
 
 # ---------------------------------------------------------------------------

@@ -499,10 +499,16 @@ def test_solve_many_stacks_each_size_once_and_equals_solve(monkeypatch):
     assert solve_many([]) == []
 
 
+def node_last(blocks):
+    """Copy of (rows, m, m) blocks stored (m, m, rows), as assemble stores them."""
+    return np.ascontiguousarray(blocks.transpose(1, 2, 0))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_row_scale_adds_columns_bitwise_as_axis_sum(m):
     blocks = np.random.default_rng(m).uniform(-1e6, 1e6, (257, m, m))
-    got = schemes._row_abs_sum(blocks)
+    got = schemes._row_abs_sum(node_last(blocks).transpose(2, 0, 1))
+    assert got.T.flags.c_contiguous  # (m, rows) memory, as the operator's
     assert got.tobytes() == np.abs(blocks).sum(axis=2).tobytes()
 
 
@@ -512,8 +518,9 @@ def test_second_difference_diagonal_view_bitwise_as_fancy_index():
     h = rng.uniform(1e-8, 1e-1, n)
     d = np.array([1e-6, 1e-3, 1.0])
     start = [rng.uniform(-1.0, 1.0, (k, m, m)) for k in (n, n + 1, n)]
-    got = [a.copy() for a in start]
+    got = [node_last(a) for a in start]
     schemes._add_second_difference(*got, h[:-1], h[1:], d)
+    got = [a.transpose(2, 0, 1).copy() for a in got]
     sub, diag, sup = (a.copy() for a in start)
     idx = np.arange(m)
     c2m = 2.0 / (h[:-1] * (h[:-1] + h[1:]))
