@@ -63,9 +63,11 @@ def _load_problem(args) -> SystemProblem:
 
 def _cmd_mesh(args) -> int:
     eps = _parse_eps(args.eps)
-    if args.family == "uniform" and len(eps) != 1:
-        # a uniform mesh reads no layer, so an eps list would be dropped unread
-        raise ConfigError(f"mesh family 'uniform' takes 1 eps value, got {len(eps)}: {args.eps}")
+    if args.family != "system-shishkin" and len(eps) != 1:
+        # every other family builds one layer or none, so the rest of an eps
+        # list would be dropped unread
+        raise ConfigError(
+            f"mesh family {args.family!r} takes 1 eps value, got {len(eps)}: {args.eps}")
     layers = [LayerSpec(e, gamma=args.gamma, mu=args.mu, side=args.side) for e in eps]
     mesh = MESHES[args.family](layers, args.n)
     d = diagnostics(mesh)

@@ -330,6 +330,44 @@ def max_norm_error(sol: DiscreteSolution, ref: ReferenceSolution) -> float:
     return float(np.max(np.abs(sol.values - exact)))
 
 
+def _attempt(step, *args):
+    """step(*args), or the exception it raised: a failed cell is recorded,
+    not fatal."""
+    try:
+        return step(*args)
+    except Exception as exc:
+        return exc
+
+
+def _solve_cells(problems, ns, mesh_family, scheme: str) -> list:
+    """The solution, or the exception that stopped it, of every (N, problem)
+    cell, N-major.
+
+    The cells of one N are meshed and assembled in one
+    ``schemes.assemble_many`` call, and every cell is solved in one
+    ``schemes.solve_many`` call.  A failed stacked step cannot say which
+    cell caused it, so it sends its cells through one ``schemes.assemble``
+    or ``schemes.solve`` per cell, which record their own failures (and,
+    with warnings raised as errors, their own warnings).  schemes is read at
+    call time, so rebinding its names (monkeypatching, tracing) takes
+    effect.  The operators are released on return, before any reference
+    (an oracle's fine-mesh solve) is evaluated.
+    """
+    ops = []
+    for n in ns:
+        try:
+            ops += schemes.assemble_many(problems, [mesh_family(p, n) for p in problems], scheme)
+        except Exception:
+            ops += [_attempt(lambda p: schemes.assemble(p, mesh_family(p, n), scheme), p)
+                    for p in problems]
+    built = [op for op in ops if not isinstance(op, Exception)]
+    try:
+        sols = iter(schemes.solve_many(built))
+    except Exception:
+        sols = iter([_attempt(schemes.solve, op) for op in built])
+    return [op if isinstance(op, Exception) else next(sols) for op in ops]
+
+
 def sweep(
     problem_family: Callable[
         [tuple[float, ...]], tuple[SystemProblem, ReferenceSolution]
@@ -348,10 +386,12 @@ def sweep(
     problem_family maps an eps vector to (problem, reference), so oracles
     regenerate per eps; mesh_family maps (problem, N) to the mesh, so it can
     read layer data off the problem.  Cells run N-major: the eps cells of
-    one N are meshed and assembled in order, solved in one
-    ``schemes.solve_many`` call (one stacked reduction) and measured in
-    order.  A failed cell becomes a record with the exception text instead
-    of aborting the sweep.  err_energy is computed only for norm="energy".
+    one N are meshed and then assembled in one ``schemes.assemble_many``
+    call; every cell of the sweep is solved in one ``schemes.solve_many``
+    call (one padded stack for all scalar cells) and measured in order.  A
+    failed cell becomes a record with the exception text instead of
+    aborting the sweep, the same record it gets when run alone.  err_energy
+    is computed only for norm="energy".
     """
     if scheme not in SCHEME_TAGS:
         raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
@@ -365,12 +405,6 @@ def sweep(
     def failed(n: int, eps: tuple[float, ...], exc: Exception) -> ErrorRecord:
         return ErrorRecord(n=n, eps=eps, failure=f"{type(exc).__name__}: {exc}")
 
-    def attempt(step, *args):
-        try:
-            return step(*args)
-        except Exception as exc:  # recorded per cell, not fatal
-            return exc
-
     def measure(n, eps, problem, ref, sol: DiscreteSolution) -> ErrorRecord:
         mesh = sol.mesh
         return ErrorRecord(
@@ -382,24 +416,13 @@ def sweep(
             q=float(mesh.spacings.max()),
         )
 
-    # The cells of one N are assembled first and solved together; schemes
-    # is read at call time, so rebinding its names (monkeypatching, tracing)
-    # takes effect.  A failure of the group solve, which cannot say which
-    # cell caused it, sends the group through one solve per cell.
     records = []
-    for n in ns:
-        ops = [attempt(lambda p: schemes.assemble(p, mesh_family(p, n), scheme), problem)
-               for problem, _ in pairs]
-        built = [op for op in ops if not isinstance(op, Exception)]
-        try:
-            sols = iter(schemes.solve_many(built))
-        except Exception:
-            sols = iter([attempt(schemes.solve, op) for op in built])
-        for eps, (problem, ref), op in zip(epss, pairs, ops):
-            got = op if isinstance(op, Exception) else next(sols)
-            if not isinstance(got, Exception):
-                got = attempt(measure, n, eps, problem, ref, got)
-            records.append(failed(n, eps, got) if isinstance(got, Exception) else got)
+    cells = [(n, eps, *pair) for n in ns for eps, pair in zip(epss, pairs)]
+    solved = _solve_cells([problem for problem, _ in pairs], ns, mesh_family, scheme)
+    for (n, eps, problem, ref), got in zip(cells, solved):
+        if not isinstance(got, Exception):
+            got = _attempt(measure, n, eps, problem, ref, got)
+        records.append(failed(n, eps, got) if isinstance(got, Exception) else got)
     return ConvergenceReport(
         family=family,
         scheme=scheme,
@@ -565,11 +588,11 @@ def problem_family(
     return family
 
 
-def _one_layer(layers: Sequence[LayerSpec]) -> LayerSpec:
+def _one_layer(tag: str, layers: Sequence[LayerSpec]) -> LayerSpec:
     if len(layers) != 1:
         raise ValueError(
-            f"scalar layer meshes need a scalar problem, got m={len(layers)} "
-            f"(the family takes 1 eps value, got {len(layers)})"
+            f"mesh {tag!r} builds one layer, for a scalar problem; the problem has "
+            f"m={len(layers)} components: use 'system-shishkin'"
         )
     return layers[0]
 
@@ -581,9 +604,10 @@ def _one_layer(layers: Sequence[LayerSpec]) -> LayerSpec:
 # tracing) takes effect.
 MESHES: dict[str, Callable[[Sequence[LayerSpec], int], Mesh1D]] = {
     "uniform": lambda layers, n: uniform_mesh(n),
-    "shishkin": lambda layers, n: system_shishkin([_one_layer(layers)], n),
-    "bakhvalov-shishkin": lambda layers, n: bakhvalov_shishkin(_one_layer(layers), n),
-    "bakhvalov-type": lambda layers, n: bakhvalov_type(_one_layer(layers), n),
+    "shishkin": lambda layers, n: system_shishkin([_one_layer("shishkin", layers)], n),
+    "bakhvalov-shishkin": lambda layers, n: bakhvalov_shishkin(
+        _one_layer("bakhvalov-shishkin", layers), n),
+    "bakhvalov-type": lambda layers, n: bakhvalov_type(_one_layer("bakhvalov-type", layers), n),
     "system-shishkin": lambda layers, n: system_shishkin(layers, n),
 }
 

@@ -97,10 +97,22 @@ def test_mesh_rejects_malformed_eps(capsys):
     code, _, err = _run(capsys, "mesh", "--eps=-1e-3")
     assert code == 3 and "positive" in err
     # only system-shishkin reads an eps list; the rest would drop all but eps[0]
-    for family in ("shishkin", "bakhvalov-type", "uniform"):
+    for family in ("shishkin", "bakhvalov-shishkin", "bakhvalov-type", "uniform"):
         code, out, err = _run(capsys, "mesh", "--family", family, "--eps", "1e-3,1e-4",
                               "--n", "8")
-        assert code == 3 and out == "" and "takes 1 eps value, got 2" in err
+        assert code == 3 and out == ""
+        assert err == f"error: mesh family '{family}' takes 1 eps value, got 2: 1e-3,1e-4\n"
+
+
+@pytest.mark.parametrize("family", ["shishkin", "bakhvalov-shishkin", "bakhvalov-type"])
+def test_one_layer_mesh_on_a_system_names_the_mesh_and_m(family, capsys):
+    # strongly-coupled-2x2 takes one eps value; what the mesh refuses is its
+    # m = 2 components
+    code, out, err = _run(capsys, "solve", "--problem", "strongly-coupled-2x2",
+                          "--mesh", family, "--n", "16")
+    assert code == 3 and out == ""
+    assert err == (f"error: mesh '{family}' builds one layer, for a scalar problem; "
+                   "the problem has m=2 components: use 'system-shishkin'\n")
 
 
 @pytest.mark.parametrize("eps", ["inf", "nan"])

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -285,12 +286,19 @@ def test_sweep_group_failures_stay_in_their_own_cells(monkeypatch):
     # One N-group holds a cell whose mesh cannot be built (eps = 1e-15 on
     # shishkin at N >= 256), a singular cell (a zeroed first pivot, at
     # N = 256 only) and a cell that fails the residual guard (row 4 scaled
-    # by 1e-17).  The stacked solve raises at N = 256 (singular) and
-    # N = 512 (guard); every cell must still read as it does solved alone.
-    assemble = schemes.assemble
+    # by 1e-17).  The mesh failure sends both N through per-cell assembly,
+    # and the study's one stacked solve raises (singular at N = 256); every
+    # cell must still read as it does solved alone.  The operators are
+    # rigged at the assembly entry point, which assemble also goes through.
+    assemble_many = schemes.assemble_many
+
+    def rigged_many(problems, meshes, scheme):
+        return [rig(p, op) for p, op in zip(problems, assemble_many(problems, meshes, scheme))]
 
     def rigged(problem, mesh, scheme):
-        op = assemble(problem, mesh, scheme)
+        return rigged_many([problem], [mesh], scheme)[0]
+
+    def rig(problem, op):
         mat, eps = op.matrix, problem.eps[0]
         sub, diag, sup = mat.sub.copy(), mat.diag.copy(), mat.sup.copy()
         if eps == 1e-3 and mat.n == 257:
@@ -301,7 +309,7 @@ def test_sweep_group_failures_stay_in_their_own_cells(monkeypatch):
             sup[4] *= 1e-17
         return dataclasses.replace(op, matrix=BlockTridiag(sub=sub, diag=diag, sup=sup))
 
-    monkeypatch.setattr(schemes, "assemble", rigged)
+    monkeypatch.setattr(schemes, "assemble_many", rigged_many)
     n_list = (256, 512)
     eps_list = ((1e-4,), (1e-15,), (1e-3,), (1e-2,), (1e-6,))
     family, meshes = problem_family("scalar-cd"), mesh_family("shishkin")
@@ -352,7 +360,55 @@ def test_sweep_rejects_unordered_n_list_before_solving(monkeypatch):
               cfg["N_list"], cfg["eps_list"])
     assert calls == []
     run_study(study_from_dict({**cfg, "N_list": [16, 32]}))
-    assert len(calls) == 2  # one group solve per N: the counter sees the sweep
+    assert len(calls) == 1  # one solve per study: the counter sees the sweep
+
+
+@pytest.mark.parametrize("name, mesh, scheme, n_list", [
+    ("scalar-cd", "shishkin", "galerkin-fem", (16, 32, 64)),
+    ("strongly-coupled-2x2", "uniform", "ias", (16, 32)),
+])
+def test_sweep_assembles_once_per_n_and_solves_once_per_study(monkeypatch, name, mesh,
+                                                              scheme, n_list):
+    calls = {"assemble": [], "assemble_many": [], "solve": [], "solve_many": []}
+
+    def counted(step):
+        fn = getattr(schemes, step)
+
+        def wrapper(*args):
+            calls[step].append(args)
+            return fn(*args)
+        monkeypatch.setattr(schemes, step, wrapper)
+
+    for step in calls:
+        counted(step)
+    eps_list = ((1e-3,), (1e-6,), (1e-9,))
+    rep = sweep(problem_family(name), mesh_family(mesh), scheme, n_list, eps_list)
+    assert rep.failures == ()
+    assert [len(args[0]) for args in calls["assemble_many"]] == [3] * len(n_list)
+    assert [len(args[0]) for args in calls["solve_many"]] == [3 * len(n_list)]
+    assert calls["assemble"] == calls["solve"] == []  # no per-cell fallback ran
+
+
+def test_sweep_records_a_warning_raised_as_error_per_cell(monkeypatch):
+    # with warnings raised as errors (as the suite runs), the sign-changing
+    # convection of strongly-coupled-variable fails each stacked assembly,
+    # and the per-cell fallback records every cell's own warning
+    calls = []
+    assemble = schemes.assemble
+
+    def counting(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(schemes, "assemble", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sweep(problem_family("strongly-coupled-variable"), mesh_family("uniform"),
+                    "simple-upwind", (16, 32), ((1e-2,), (1e-3,)))
+    assert len(calls) == 4
+    assert [r.failure for r in rep.records] == [
+        "UserWarning: convection coefficient of component 0 changes sign on the mesh; "
+        "upwinding per node"] * 4
 
 
 def test_sweep_rejects_energy_norm_without_reference_derivative(monkeypatch):
@@ -806,7 +862,7 @@ def test_scalar_families_refine_both_ends_for_reaction_diffusion():
     spec = LayerSpec(1e-4, gamma=kappa, side="both")
     mesh = mesh_family("shishkin")(problem, 64)
     assert np.array_equal(mesh.points, system_shishkin([spec], 64).points)
-    with pytest.raises(ValueError, match="need a scalar problem, got m=2"):
+    with pytest.raises(ValueError, match="mesh 'shishkin' builds one layer.*m=2 components"):
         mesh_family("shishkin")(builtin_strongly_coupled_example(1e-4)[0], 64)
 
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spbvp import schemes
-from spbvp.harness import mesh_family, problem_family, sweep
-from spbvp.linalg import block_thomas
+from spbvp.harness import MESH_TAGS, PROBLEMS, mesh_family, problem_family, sweep
+from spbvp.linalg import BlockTridiag, block_thomas
 from spbvp.meshes import LayerSpec, system_shishkin, uniform_mesh
 from spbvp.problems import (
     Coefficient,
@@ -24,8 +24,10 @@ from spbvp.problems import (
 )
 from spbvp.schemes import (
     SCHEME_TAGS,
+    DiscreteOperator,
     apply,
     assemble,
+    assemble_many,
     discrete_solve,
     energy_norm_error,
     solve,
@@ -492,11 +494,98 @@ def test_solve_many_stacks_each_size_once_and_equals_solve(monkeypatch):
     alone = [solve(op) for op in ops]
     calls = _count_kernel_calls(monkeypatch)
     together = solve_many(ops)
-    assert sorted(calls) == [17, 25, 33]  # one stacked call per (n, m)
+    # the 1x1 systems share one stack padded to 33 rows; m = 2 stacks per n
+    assert sorted(calls) == [25, 33]
     for a, b in zip(alone, together):
         assert np.array_equal(a.values, b.values)
         assert a.residual == b.residual and a.mesh is b.mesh
     assert solve_many([]) == []
+
+
+def _random_scalar_op(rng, n_nodes):
+    """A diagonally dominant 1x1 system whose first and last rows are
+    coupled too: nothing in it looks like a padding row."""
+    sub, sup = rng.uniform(-1.0, 1.0, (2, n_nodes - 1, 1, 1))
+    diag = rng.uniform(2.5, 4.0, (n_nodes, 1, 1)) * rng.choice([-1.0, 1.0], (n_nodes, 1, 1))
+    return DiscreteOperator(matrix=BlockTridiag(sub, diag, sup),
+                            rhs=rng.uniform(-1e3, 1e3, (n_nodes, 1)),
+                            mesh=uniform_mesh(n_nodes - 1), scheme_tag="random")
+
+
+def test_padded_scalar_stack_equals_each_solve_alone(monkeypatch):
+    rng = np.random.default_rng(29)
+    sizes = [2, 3, 300, 17, 17, 129, 64, 2, 255, 1025]
+    ops = [_random_scalar_op(rng, n) for n in sizes]
+    assert all(op.matrix.sup[0, 0, 0] != 0.0 and op.matrix.sub[-1, 0, 0] != 0.0 for op in ops)
+    alone = [solve(op) for op in ops]
+    calls = _count_kernel_calls(monkeypatch)
+    together = solve_many(ops)
+    assert calls == [1025]  # one stack, padded to the longest system
+    for op, a, b in zip(ops, alone, together):
+        assert b.values.shape == (op.n_nodes, 1)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.residual == b.residual and b.mesh is op.mesh
+
+    # a member that fails its guard is refined alone, and only it: the
+    # others pass on the stacked residual
+    mat = ops[5].matrix
+    sub, diag, sup = mat.sub.copy(), mat.diag.copy(), mat.sup.copy()
+    diag[4] *= 1e-17
+    sub[3] *= 1e-17
+    sup[4] *= 1e-17
+    bad = dataclasses.replace(ops[5], matrix=BlockTridiag(sub, diag, sup))
+    calls.clear()
+    with pytest.raises(RuntimeError, match="solver residual"):
+        solve_many(ops[:5] + ops[6:] + [bad])
+    assert calls == [1025, 129, 129]  # the stack, then two passes on the bad member
+
+
+_STACK_EPS = {1: [(1e-2,), (1e-5,), (1e-9,)], None: [(1e-6, 1e-3), (1e-8, 1e-4), (1e-3, 1e-2)]}
+
+
+def _assembled(build):
+    """(result or refusal text, warning texts) of one assembly call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = build()
+        except ValueError as exc:
+            got = str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_assemble_many_equals_assemble_per_cell(name):
+    family = problem_family(name)
+    for k, mesh_tag, scheme, n in itertools.product(
+            (1, 3), MESH_TAGS, SCHEME_TAGS, (16, 48, 96)):
+        problems = [family(e)[0] for e in _STACK_EPS[PROBLEMS[name][0]][:k]]
+        try:
+            meshes = [mesh_family(mesh_tag)(p, n) for p in problems]
+        except ValueError:
+            continue  # a mesh the family cannot build is no assembly case
+        case = (name, k, mesh_tag, scheme, n)
+        many, many_warned = _assembled(lambda: assemble_many(problems, meshes, scheme))
+        alone, alone_warned = zip(*(_assembled(lambda: assemble(p, mesh, scheme))
+                                    for p, mesh in zip(problems, meshes)))
+        refusals = [a for a in alone if isinstance(a, str)]
+        if refusals:
+            assert many == refusals[0], case
+            continue
+        assert many_warned == [w for ws in alone_warned for w in ws], case
+        for a, b in zip(alone, many):
+            for f in ("sub", "diag", "sup"):
+                x, y = getattr(a.matrix, f), getattr(b.matrix, f)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), (case, f)
+            assert a.rhs.tobytes() == b.rhs.tobytes() and a.mesh is b.mesh, case
+            assert b.matrix.diag.transpose(1, 2, 0).flags.c_contiguous, case  # node-last
+
+
+def test_assemble_many_refuses_cells_of_different_sizes():
+    problem, _ = builtin_scalar_cd(1e-3)
+    with pytest.raises(ValueError, match="must share kind, m and node count"):
+        assemble_many([problem] * 2, [uniform_mesh(8), uniform_mesh(16)], "simple-upwind")
+    assert assemble_many([], [], "central") == []
 
 
 def node_last(blocks):
@@ -518,9 +607,9 @@ def test_second_difference_diagonal_view_bitwise_as_fancy_index():
     h = rng.uniform(1e-8, 1e-1, n)
     d = np.array([1e-6, 1e-3, 1.0])
     start = [rng.uniform(-1.0, 1.0, (k, m, m)) for k in (n, n + 1, n)]
-    got = [node_last(a) for a in start]
-    schemes._add_second_difference(*got, h[:-1], h[1:], d)
-    got = [a.transpose(2, 0, 1).copy() for a in got]
+    got = [node_last(a)[None] for a in start]  # a stack of one cell
+    schemes._add_second_difference(*got, h[None, :-1], h[None, 1:], d[None])
+    got = [a[0].transpose(2, 0, 1).copy() for a in got]
     sub, diag, sup = (a.copy() for a in start)
     idx = np.arange(m)
     c2m = 2.0 / (h[:-1] * (h[:-1] + h[1:]))
