@@ -168,12 +168,23 @@ def _finish(layer: np.ndarray, cells: int, end: float, side: str, label: str,
             meta: dict) -> Mesh1D:
     """Complete canonical layer points on [0, tau] with a uniform band of
     `cells` cells out to `end`; for side='both' reflect that half node for
-    node as 1 - x, for side='right' mirror the mesh."""
+    node as 1 - x, for side='right' mirror the points, so the one Mesh1D
+    built is the one ``mirror()`` would return.  A cell that the mirror to
+    x = 1 collapses is refused with a message naming that cause."""
     half = np.concatenate([layer, np.linspace(float(layer[-1]), end, cells + 1)[1:]])
     pts = np.concatenate([half, (1.0 - half[::-1])[1:]]) if side == "both" else half
     pts[-1] = 1.0
-    mesh = _mesh(pts, label, meta)
-    return mirror(mesh) if side == "right" else mesh
+    if side == "right":
+        pts, label = _mirrored(pts), f"mirror({label})"
+    try:
+        return _mesh(pts, label, meta)
+    except ValueError as exc:
+        if side == "left":
+            raise
+        raise ValueError(
+            f"{exc}: side={side!r} mirrors layer points to x = 1 as 1 - x, and "
+            "float64 cannot space points near 1 closer than about 1.1e-16"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +272,19 @@ def system_shishkin(layers: tuple[LayerSpec, ...] | list[LayerSpec], n: int) -> 
     return _finish(layer, cells, end, side, label, {"taus": tuple(float(t) for t in tau)})
 
 
+def _mirrored(points: np.ndarray) -> np.ndarray:
+    """Points 1 - x in reverse order, with exact endpoints."""
+    pts = 1.0 - points[::-1]
+    pts[0] = 0.0
+    pts[-1] = 1.0
+    return pts
+
+
 def mirror(mesh: Mesh1D) -> Mesh1D:
     """Reflect a mesh about x = 1/2: points 1 - x in reverse order, with
     exact endpoints."""
-    pts = 1.0 - mesh.points[::-1]
-    pts[0] = 0.0
-    pts[-1] = 1.0
-    return Mesh1D(points=pts, label=f"mirror({mesh.label})", meta=dict(mesh.meta))
+    return Mesh1D(points=_mirrored(mesh.points), label=f"mirror({mesh.label})",
+                  meta=dict(mesh.meta))
 
 
 def diagnostics(mesh: Mesh1D) -> MeshDiagnostics:

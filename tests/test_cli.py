@@ -153,6 +153,29 @@ def test_solve_reaction_diffusion_with_overflowing_eps_squared_is_config_error(c
     assert err == "error: reaction-diffusion needs a finite eps^2, got eps 1e+156\n"
 
 
+def _collapse_message(cell, side):
+    return (f"error: mesh points must increase strictly; cell {cell} has width 0.0: "
+            f"side='{side}' mirrors layer points to x = 1 as 1 - x, and float64 cannot "
+            "space points near 1 closer than about 1.1e-16\n")
+
+
+@pytest.mark.parametrize("mesh, cell", [
+    ("shishkin", 512), ("bakhvalov-shishkin", 534), ("bakhvalov-type", 532),
+])
+def test_solve_right_layer_collapsed_by_the_mirror_names_the_cause(mesh, cell, capsys):
+    code, out, err = _run(capsys, "solve", "--problem", "scalar-cd", "--eps", "1e-15",
+                          "--n", "1024", "--mesh", mesh)
+    assert code == 3 and out == ""
+    assert err == _collapse_message(cell, "right")
+
+
+def test_mesh_both_sides_layer_collapsed_by_the_mirror_names_the_cause(capsys):
+    code, out, err = _run(capsys, "mesh", "--family", "shishkin", "--side", "both",
+                          "--eps", "1e-15", "--n", "1024")
+    assert code == 3 and out == ""
+    assert err == _collapse_message(769, "both")
+
+
 def test_mesh_system_family_takes_eps_list(capsys):
     code, out, _ = _run(capsys, "mesh", "--family", "system-shishkin",
                         "--eps", "1e-6,1e-3", "--n", "12")

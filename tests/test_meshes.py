@@ -138,6 +138,18 @@ def test_both_sides_layer_mesh_is_exact_reflection(family, eps, n):
     assert np.array_equal(p[::-1][:h], 1.0 - p[:h])
 
 
+@pytest.mark.parametrize("family", [shishkin, bakhvalov_shishkin, bakhvalov_type])
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("n", [8, 16, 64, 1024])
+def test_right_layer_mesh_is_the_mirror_of_its_left_mesh(family, eps, n):
+    left = family(LayerSpec(eps=eps), n)
+    right = family(LayerSpec(eps=eps, side="right"), n)
+    want = mirror(left)
+    assert np.array_equal(right.points, want.points)
+    assert right.label == want.label.replace("side=left)", "side=right)")
+    assert right.meta == left.meta
+
+
 def test_shishkin_rejects_odd_n():
     with pytest.raises(ValueError):
         shishkin(LayerSpec(eps=1e-4), 63)
