@@ -36,7 +36,6 @@ from .problems import (
     builtin_strongly_coupled_variable,
     builtin_weakly_coupled_cd,
     default_envelope,
-    oracle_reference,
 )
 from . import schemes
 from .schemes import SCHEME_TAGS, DiscreteSolution, energy_norm_error
@@ -539,14 +538,6 @@ def report_from_json(text: str) -> ConvergenceReport:
 # ---------------------------------------------------------------------------
 
 
-def _strongly_coupled_oracle(*eps: float) -> tuple[SystemProblem, ReferenceSolution]:
-    problem, _ = builtin_strongly_coupled_example(*eps)
-    # self-consistent fitted-scheme oracle; 16384 = 16 * the largest default
-    # study N, and its nodes nest over every power-of-two N
-    ref = oracle_reference(problem, 16384, "ias", uniform_mesh, mesh_label="uniform")
-    return problem, ref
-
-
 # Builtin problems by name: (eps values taken, constructor).  The count is 1,
 # or None for one value per component.  A constructor takes its one eps value,
 # or the eps tuple when the count is None, or nothing for its builtin's
@@ -555,7 +546,6 @@ def _strongly_coupled_oracle(*eps: float) -> tuple[SystemProblem, ReferenceSolut
 PROBLEMS: dict[str, tuple[int | None, Callable[..., tuple[SystemProblem, ReferenceSolution]]]] = {
     "scalar-cd": (1, lambda *eps: builtin_scalar_cd(*eps)),
     "strongly-coupled-2x2": (1, lambda *eps: builtin_strongly_coupled_example(*eps)),
-    "strongly-coupled-2x2-oracle": (1, lambda *eps: _strongly_coupled_oracle(*eps)),
     "strongly-coupled-variable": (1, lambda *eps: builtin_strongly_coupled_variable(*eps)),
     "reaction-diffusion": (None, lambda *args: builtin_reaction_diffusion_system(*args)),
     "weakly-coupled-cd": (None, lambda *args: builtin_weakly_coupled_cd(*args)),
@@ -740,7 +730,7 @@ STUDIES: dict[str, StudyConfig] = {
         ),
         StudyConfig(
             name="strongly-coupled-ias",
-            problem="strongly-coupled-2x2-oracle",
+            problem="strongly-coupled-2x2",
             scheme="ias",
             mesh="uniform",
             n_list=_SCALAR_N,
@@ -796,7 +786,8 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
     """Execute a pinned study; the report's family column is the mesh tag.
 
     Oracle-backed problems regenerate their fine-mesh reference per eps at
-    the builtin resolution (16x the largest default study N).
+    their builtin's default n_ref of 12288 cells, 16x the largest N of the
+    registered system studies.
     """
     return sweep(
         problem_family(cfg.problem),

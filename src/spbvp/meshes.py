@@ -223,11 +223,13 @@ def bakhvalov_type(spec: LayerSpec, n: int) -> Mesh1D:
         mesh = uniform_mesh(n, label)
         mesh.meta["degenerate"] = "transition reached the uniform clamp"
         return mesh
-    t = np.arange(k + 1) / (2.0 * k)  # [0, 1/2]
-    fine = -a * np.log1p(-2.0 * (1.0 - spec.eps) * t)
+    t = np.arange(k) / (2.0 * k)  # [0, 1/2)
+    fine = np.empty(k + 1)
+    fine[:-1] = -a * np.log1p(-2.0 * (1.0 - spec.eps) * t)
     fine[0] = 0.0
     # at t=1/2 the formula collapses to a*ln(1/eps); evaluate that directly
-    # instead of routing through fl(1-eps), which costs ~eps^-1 ulps.
+    # instead of routing through fl(1-eps), which costs ~eps^-1 ulps and,
+    # below eps ~1.1e-16 where fl(1-eps) = 1, reaches log1p(-1) = -inf.
     fine[-1] = a * -math.log(spec.eps)
     return _finish(fine, k, end, spec.side, label, {"sigma": float(fine[-1])})
 

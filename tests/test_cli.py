@@ -176,6 +176,14 @@ def test_mesh_both_sides_layer_collapsed_by_the_mirror_names_the_cause(capsys):
     assert err == _collapse_message(769, "both")
 
 
+def test_mesh_bakhvalov_type_below_the_unit_roundoff_builds_silently(capsys):
+    code, out, err = _run(capsys, "mesh", "--family", "bakhvalov-type",
+                          "--eps", "1e-300", "--n", "64")
+    assert code == 0 and err == ""
+    widths = [float(line.split(",")[2]) for line in out.splitlines()[2:66]]
+    assert len(widths) == 64 and min(widths) > 0.0
+
+
 def test_mesh_system_family_takes_eps_list(capsys):
     code, out, _ = _run(capsys, "mesh", "--family", "system-shishkin",
                         "--eps", "1e-6,1e-3", "--n", "12")
@@ -251,7 +259,6 @@ def test_solve_accepts_every_mesh_tag(capsys):
 _PROBLEM_RUNS = {
     "scalar-cd": ("shishkin", "simple-upwind", "1e-3"),
     "strongly-coupled-2x2": ("uniform", "ias", "1e-3"),
-    "strongly-coupled-2x2-oracle": ("uniform", "ias", "1e-3"),
     "strongly-coupled-variable": ("uniform", "ias", "1e-3"),
     "reaction-diffusion": ("system-shishkin", "central", "1e-3,1e-2"),
     "weakly-coupled-cd": ("system-shishkin", "simple-upwind", "1e-3,1e-2"),
@@ -324,8 +331,11 @@ def test_warnings_print_once_per_call_without_source_lines(tmp_path, capsys):
 
 
 def test_solve_unknown_problem_is_config_error(capsys):
-    code, _, err = _run(capsys, "solve", "--problem", "mystery")
-    assert code == 3 and "unknown problem" in err
+    # a deleted family's name is refused like any other
+    for name in ("mystery", "strongly-coupled-2x2-oracle"):
+        code, _, err = _run(capsys, "solve", "--problem", name)
+        assert code == 3 and f"unknown problem family {name!r}" in err
+        assert err.rstrip().endswith(f"known: {', '.join(PROBLEMS)}")
 
 
 def test_solve_bad_problem_json_is_config_error(tmp_path, capsys):

@@ -654,6 +654,19 @@ def test_registered_studies_are_well_formed():
         mesh_family(cfg.mesh)
 
 
+def test_strongly_coupled_ias_measures_against_the_closed_form():
+    cfg = STUDIES["strongly-coupled-ias"]
+    for eps in (None, *cfg.eps_list):
+        _, ref = problem_family(cfg.problem)(eps)
+        assert ref.kind == "asymptotic"
+    # ias is nodally exact on this constant-coefficient system, so every
+    # cell reads roundoff against the closed form
+    report = run_study(cfg)
+    assert not report.failures, report.failures
+    worst = max(r.err_max for r in report.records)
+    assert worst <= 1e-13, f"sup error {worst:.3e}"
+
+
 _INLINE = {
     "problem": "scalar-cd",
     "scheme": "galerkin-fem",
@@ -760,7 +773,6 @@ def test_single_eps_problem_families_reject_eps_vectors():
     for name in (
         "scalar-cd",
         "strongly-coupled-2x2",
-        "strongly-coupled-2x2-oracle",
         "strongly-coupled-variable",
     ):
         with pytest.raises(ValueError, match=f"{name}.*takes 1 eps value, got 2"):

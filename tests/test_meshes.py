@@ -194,6 +194,15 @@ def test_graded_fine_zone_uniform_clamp():
     assert "degenerate" in m2.meta
 
 
+@pytest.mark.parametrize("eps", [1e-17, 1e-100, 1e-300])
+def test_graded_fine_zone_below_the_unit_roundoff(eps):
+    # fl(1 - eps) = 1 here: the formula must not be evaluated at t = 1/2,
+    # where it reaches log1p(-1) (the suite raises its warning as an error)
+    m = bakhvalov_type(LayerSpec(eps=eps), 64)
+    assert len(m.points) == 65 and np.all(np.diff(m.points) > 0.0)
+    assert m.points[32] == m.meta["sigma"] == 2.0 * eps * -math.log(eps)
+
+
 def test_graded_fine_zone_transition_scales_with_eps():
     a = bakhvalov_type(LayerSpec(eps=1e-4), 64).meta["sigma"]
     b = bakhvalov_type(LayerSpec(eps=1e-8), 64).meta["sigma"]

@@ -33,6 +33,7 @@ STALE_TARGETS = {
     "spbvp.harness.shishkin",
     "spbvp.harness.diagnostics",
     "spbvp.harness.check_gamma",
+    "spbvp.harness.oracle_reference",
 }
 
 

@@ -519,7 +519,6 @@ def test_builtin_registry_complete():
     builtins = {
         "scalar-cd": builtin_scalar_cd,
         "strongly-coupled-2x2": builtin_strongly_coupled_example,
-        "strongly-coupled-2x2-oracle": builtin_strongly_coupled_example,
         "strongly-coupled-variable": builtin_strongly_coupled_variable,
         "reaction-diffusion": builtin_reaction_diffusion_system,
         "weakly-coupled-cd": builtin_weakly_coupled_cd,
