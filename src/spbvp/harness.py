@@ -387,7 +387,7 @@ def sweep(
     read layer data off the problem.  Cells run N-major: the eps cells of
     one N are meshed and then assembled in one ``schemes.assemble_many``
     call; every cell of the sweep is solved in one ``schemes.solve_many``
-    call (one padded stack for all scalar cells) and measured in order.  A
+    call (one padded stack per block size) and measured in order.  A
     failed cell becomes a record with the exception text instead of
     aborting the sweep, the same record it gets when run alone.  err_energy
     is computed only for norm="energy".

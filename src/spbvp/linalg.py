@@ -12,33 +12,27 @@ its arrays, not a copy.
 An assembled operator stores each block diagonal node-axis-last: its
 (n, m, m) arrays are transposed views of (m, m, n) memory, in which every
 block entry is one contiguous vector over the nodes.  ``matvec`` and the
-wide levels below run over those vectors, and ``stack`` keeps its members'
-layout.  For m = 1 both layouts are the same memory.  With m <= 2 a sum of
-products rounds alike in either layout; with m = 3 the wide levels' sums
-may round differently from those on row-major blocks, in the last bits.
+solver run over those vectors, and ``stack`` keeps its members' layout.
+For m = 1 both layouts are the same memory.
 
-Each level eliminates half of the block rows left, with one of three
-kernels chosen by the block size m and that level's row count per system:
+The reduction runs component-major at every level and every block size:
+each level works on (k, m, m, rows) views of its blocks, in which each of
+the m*m block entries is one vector over the rows.  The pivot blocks are
+inverted together by a vectorized Gauss-Jordan elimination (a reciprocal
+for 1x1 blocks), and a block product is a sum of products of these vectors:
 
-- 1x1 blocks are scalars at every level: a pivot inverse is a reciprocal
-  and a block product an elementwise ``multiply``, each one numpy call
-  over all rows.  They round exactly as the 1x1 LAPACK inverse and BLAS
-  product do;
-- for m >= 2, a level with fewer than ``_WIDE`` rows is a few batched
-  numpy/LAPACK calls over (k, rows, m, m) stacks, one ``inv`` or ``matmul``
-  per block;
-- a wider level with m >= 2 works on component-major arrays, in which each
-  of the m*m block entries is one contiguous vector over the rows: a block
-  product is one ``einsum`` pass of sums of products of these vectors,
-  and the pivot blocks are inverted together by a vectorized Gauss-Jordan
-  elimination.  With m <= 3 a LAPACK/BLAS call per block is almost all
-  call overhead, which these long vector operations do not pay.  The first
-  wide level reads a node-last operator's couplings in place.
+- at a level of fewer than ``_WIDE`` rows, or of 1x1 blocks, the products
+  are elementwise and added in a fixed order, each term one numpy call over
+  every row of every system, so each element rounds the same whatever the
+  row count, the stack or the memory layout;
+- at a wider level of m >= 2 blocks, each system's product is one
+  ``einsum`` pass, which allocates no temporary per term.  On rows at most
+  two items apart it rounds exactly as the elementwise sums do (the test
+  suite pins this); other operands are copied component-major first.  The
+  first level reads a node-last operator's couplings in place.
 
-A narrow m >= 2 level copies the couplings it keeps for the applies (lo and
-up) row-major, at the first level too: numpy's block-times-vector products
-round differently on the strided blocks of a node-last operator, and the
-copy keeps the rounding of a row-major one.
+So a system rounds alike in every layout and in every stack, also one
+padded past ``_WIDE`` rows with identity blocks.
 
 The reduction is factored once per call and applied twice, the second time
 as one pass of iterative refinement.
@@ -77,6 +71,8 @@ class BlockTridiag:
         if d.ndim not in (3, 4) or d.shape[-1] != d.shape[-2]:
             raise ValueError(f"diag must be (n, m, m) or (k, n, m, m), got {d.shape}")
         *k, n, m, _ = d.shape
+        if n < 1:
+            raise ValueError("BlockTridiag needs at least one block row")
         object.__setattr__(self, "diag", d)
         for name in ("sub", "sup"):
             a = np.asarray(getattr(self, name), dtype=float)
@@ -121,6 +117,8 @@ def stack(items):
     """Stack arrays of one shape, or BlockTridiag systems of one n and m,
     along a new leading axis.  A stack of one is a view, not a copy."""
     items = list(items)
+    if not items:
+        raise ValueError("stack needs at least one item")
     if isinstance(items[0], BlockTridiag):
         return BlockTridiag(*(stack(arrs) for arrs in
                               zip(*((t.sub, t.diag, t.sup) for t in items))))
@@ -145,13 +143,10 @@ def block_thomas(mat: BlockTridiag, rhs: np.ndarray) -> np.ndarray:
     diagonally dominant systems).  There is no pivoting across block rows,
     and a singular pivot block raises SingularMatrixError naming its level.
 
-    1x1 blocks run elementwise at every level.  For m >= 2, levels of at
-    least ``_WIDE`` block rows run component-major and the narrower ones as
-    batched LAPACK/BLAS calls (see the module docstring).  The
-    component-major kernel is the faster one from about 256 rows up, but
-    ``_WIDE`` sits above 1025 rows, so a system of up to that size
-    (N <= 1024) keeps the batched rounding bit for bit.  All three kernels
-    round 1x1 blocks identically.
+    Every level runs component-major, with block products as elementwise
+    sums below ``_WIDE`` rows and as one einsum pass per system from there
+    up (see the module docstring); both round alike, so a solve does not
+    depend on where a level falls.
 
     The matrix is factored once and the factor applied twice: the second
     application is one pass of iterative refinement.  On strongly graded
@@ -176,39 +171,30 @@ def _singular(level: int) -> SingularMatrixError:
     return SingularMatrixError(f"singular pivot block at cyclic reduction level {level}")
 
 
-# Levels of m >= 2 blocks with at least this many rows run component-major,
-# and the first of them reads a node-axis-last operator without a copy.
-# Measured on a 2-vCPU VM (numpy 2.4.6, OpenBLAS), one level's block work (an
-# inverse and six products) runs component-major 1.4x as fast as the batched
-# calls at 256 rows for m = 2 and 3, 3.7x and 2.7x at 1024 and 4.9x and 3.5x
-# at 2048.  The threshold sits above 1025 rows all the same, so that the
-# solves of N <= 1024 cells keep the batched rounding and with it their study
-# outputs bit for bit.  The batched kernel still wins on the narrow levels:
-# running every m >= 2 level component-major raised the system-studies
-# benchmark's wall_s from 0.166 to 0.176 s on the same VM (medians of 4
-# alternating pairs, 3 of them lost), so the row count keeps selecting the
-# kernel.
+# Levels of m >= 2 blocks with at least this many rows take each block
+# product as one einsum pass per system; narrower levels, and every 1x1
+# level, add elementwise products term by term over the whole stack.
+# Measured on a 2-vCPU VM (numpy 2.4.6, OpenBLAS), one system's product
+# takes the elementwise form 0.96-1.3x the time of einsum at 256-4096 rows
+# for m = 2 and 1.2-1.7x for m = 3, but 3.4-4.9x from 16384 rows up, where
+# it pays for a fresh temporary per term.  Einsum must not run on
+# the narrow levels: for m = 3 it can sum the products of a one-row block
+# in another order, and a padded stack would then round a member unlike
+# its solve alone.
 _WIDE = 2048
 
 
 def _cm(a: np.ndarray) -> np.ndarray:
-    """(k, p, q, rows) view of a (k, rows, p, q) stack.  A node-last
-    operator's blocks, and every other row of them, are read in place; rows
-    more than two items apart (a row-major operator or right-hand side) are
-    copied component-major first: einsum runs about 10x slower on them, and
-    the copy costs about as much as one product."""
-    t = a.transpose(0, 2, 3, 1)
-    return t if t.strides[-1] <= 2 * t.itemsize else t.copy()
+    """a itself if its rows are at most two items apart (a node-last
+    operator's blocks, and every other row of them), else a component-major
+    copy: einsum runs about 10x slower on wider strides (a row-major operator
+    or right-hand side), and the copy costs about as much as one product."""
+    return a if a.strides[-1] <= 2 * a.itemsize else a.copy()
 
 
-def _cm_copy(a: np.ndarray) -> np.ndarray:
-    """Copy of a (k, rows, p, q) stack, each system laid out component-major."""
-    return a.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
-
-
-def _cm_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks of blocks, as sums of products of component vectors
-    in one einsum pass per system; the product is laid out component-major.
+def _einsum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (k, p, q, rows) and (k, q, r, rows) stacks of blocks, as
+    sums of products of component vectors in one einsum pass per system.
 
     One einsum over the whole stack could sum a block's products in another
     order than a system's own einsum does when its rows are few, so each
@@ -218,23 +204,41 @@ def _cm_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty((len(a), a.shape[1], b.shape[2], a.shape[3]))
     for s in range(len(a)):
         np.einsum("iqk,qjk->ijk", a[s], b[s], out=out[s])
-    return out.transpose(0, 3, 1, 2)
+    return out
+
+
+def _elementwise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (k, p, q, rows) and (k, q, r, rows) stacks of blocks, as
+    the products of component vectors added in the order of q, each term
+    one numpy call over every row of every system: an element rounds the
+    same whatever the row count, the stack or the memory layout."""
+    if a.shape[2] == 1:  # 1x1 blocks, or a column of them times a row
+        return a * b
+    out = a[:, :, 0, None] * b[:, None, 0]
+    for j in range(1, a.shape[2]):
+        out += a[:, :, j, None] * b[:, None, j]
+    return out
+
+
+def _product(rows: int, m: int):
+    """The block product of a level of `rows` block rows of m x m blocks."""
+    return _einsum_product if m > 1 and rows >= _WIDE else _elementwise_product
 
 
 def _cm_inv(blocks: np.ndarray) -> np.ndarray:
-    """np.linalg.inv of a stack of blocks by Gauss-Jordan elimination in
-    place on a component-major copy, with partial pivoting inside each block.
+    """Inverses of a (k, m, m, rows) stack of blocks, by Gauss-Jordan
+    elimination in place on a copy, with partial pivoting inside each block.
 
     Each block brings the entry of largest modulus in the pivot column to
     the pivot row (the first one of equal modulus, as LAPACK does); blocks
     pivot independently, so a row swap is a selection (np.where) over the
     blocks.  Elimination in place leaves the inverse of the row-swapped
     block, which the same swaps on its columns, in reverse order, turn into
-    the inverse of the block.  A zero pivot raises LinAlgError, as
-    np.linalg.inv does.
+    the inverse of the block.  For 1x1 blocks this is the reciprocal.  A
+    zero pivot raises LinAlgError, as np.linalg.inv does.
     """
-    cm = np.moveaxis(blocks, -3, -1).copy()  # (..., m, m, rows) per system
-    a = np.moveaxis(cm, (-3, -2), (0, 1))  # (m, m, ..., rows) view of it
+    inv = blocks.copy()
+    a = inv.transpose(1, 2, 0, 3)  # (m, m, k, rows) view of it
     m = a.shape[0]
     swaps = []
     for j in range(m):
@@ -243,11 +247,13 @@ def _cm_inv(blocks: np.ndarray) -> np.ndarray:
             if s.any():
                 a[j], a[r] = np.where(s, a[r], a[j]), np.where(s, a[j], a[r])
                 swaps.append((j, r, s))
-        piv = a[j, j].copy()
+        piv = a[j, j]
         if not piv.all():
             raise np.linalg.LinAlgError("singular pivot block")
-        a[j, j] = 1.0
-        a[j] /= piv
+        for c in range(m):
+            if c != j:
+                a[j, c] /= piv
+        np.divide(1.0, piv, out=piv)
         for i in range(m):
             if i != j:
                 f = a[i, j].copy()
@@ -255,58 +261,38 @@ def _cm_inv(blocks: np.ndarray) -> np.ndarray:
                 a[i] -= f * a[j]
     for j, r, s in reversed(swaps):
         a[:, j], a[:, r] = np.where(s, a[:, r], a[:, j]), np.where(s, a[:, j], a[:, r])
-    return np.moveaxis(cm, -1, -3)
+    return inv
 
 
-def _reciprocal(blocks: np.ndarray) -> np.ndarray:
-    """np.linalg.inv of a stack of 1x1 blocks; a zero pivot raises
-    LinAlgError, as np.linalg.inv does."""
-    if not blocks.all():
-        raise np.linalg.LinAlgError("singular pivot block")
-    return 1.0 / blocks
-
-
-def _ops(rows: int, m: int):
-    """Block inverse, block product and copy for a level of `rows` block
-    rows (per system) of m x m blocks."""
-    if m == 1:
-        return _reciprocal, np.multiply, np.ndarray.copy
-    if rows >= _WIDE:
-        return _cm_inv, _cm_matmul, _cm_copy
-    return np.linalg.inv, np.matmul, np.ndarray.copy
-
-
-# Every array below is a stack, (k, rows, m, m) or (k, rows, m, 1): axis 1
-# runs over block rows, and a slice of it selects the same rows of every
-# system.
+# Every array below is a component-major stack, (k, m, m, rows) or
+# (k, m, 1, rows): the last axis runs over block rows, and a slice of it
+# selects the same rows of every system.
 
 
 def _factor(mat: BlockTridiag) -> tuple[list, np.ndarray]:
     """Per-level (inv, left, right, lo, up) of the reduction, and the last
     block of each system."""
-    sub, diag, sup = mat.sub, mat.diag, mat.sup
+    sub, diag, sup = (a.transpose(0, 2, 3, 1) for a in (mat.sub, mat.diag, mat.sup))
+    m = diag.shape[1]
     levels = []
     try:
-        while (rows := diag.shape[1]) > 1:
-            m = diag.shape[2]
-            inv_of, mul, copy = _ops(rows, m)
+        while (rows := diag.shape[-1]) > 1:
+            mul = _product(rows, m)
             ko = rows // 2  # odd rows
             nr = (rows - 1) // 2  # odd rows with a right neighbour
-            inv = inv_of(diag[:, 1::2])
+            inv = _cm_inv(diag[..., 1::2])
             # x_{2t+1} = inv_t rhs_{2t+1} - left_t x_{2t} - right_t x_{2t+2}
-            left = mul(inv, sub[:, 0::2])
-            right = mul(inv[:, :nr], sup[:, 1::2])
+            left = mul(inv, sub[..., 0::2])
+            right = mul(inv[..., :nr], sup[..., 1::2])
             # even row 2s reaches odd row 2s-1 through lo[s-1], 2s+1 through up[s]
-            lo, up = sub[:, 1::2], sup[:, 0::2]
-            # a view would keep this level's whole sub/sup alive; a narrow
-            # m >= 2 level copies the operator's own too (module docstring)
-            if levels or (m > 1 and rows < _WIDE):
-                lo, up = copy(lo), copy(up)
+            lo, up = sub[..., 1::2], sup[..., 0::2]
+            if levels:  # a view would keep this level's whole sub/sup alive
+                lo, up = lo.copy(), up.copy()
             levels.append((inv, left, right, lo, up))
-            diag = copy(diag[:, 0::2])
-            diag[:, :ko] -= mul(up, left)
-            diag[:, 1:] -= mul(lo, right)
-            sub, sup = -mul(lo, left[:, :nr]), -mul(up[:, :nr], right)
+            diag = diag[..., 0::2].copy()
+            diag[..., :ko] -= mul(up, left)
+            diag[..., 1:] -= mul(lo, right)
+            sub, sup = -mul(lo, left[..., :nr]), -mul(up[..., :nr], right)
     except np.linalg.LinAlgError:
         raise _singular(len(levels)) from None
     return levels, diag
@@ -316,27 +302,28 @@ def _apply(factor: tuple[list, np.ndarray], rhs: np.ndarray) -> np.ndarray:
     """Forward sweep, last-block solve and back substitution for a (k, n, m)
     stack of right-hand sides."""
     levels, last = factor
-    rhs = rhs[..., None]  # (k, n, m, 1): every product below is a block product
+    rhs = rhs.transpose(0, 2, 1)[:, :, None]  # (k, m, 1, n): block products below
+    m = rhs.shape[1]
     ys = []
     for inv, left, right, lo, up in levels:
-        _, mul, copy = _ops(*rhs.shape[1:3])
-        y = mul(inv, rhs[:, 1::2])
+        mul = _product(rhs.shape[-1], m)
+        y = mul(inv, rhs[..., 1::2])
         ys.append(y)
-        rhs = copy(rhs[:, 0::2])
-        rhs[:, :left.shape[1]] -= mul(up, y)
-        rhs[:, 1:] -= mul(lo, y[:, :right.shape[1]])
+        rhs = rhs[..., 0::2].copy()
+        rhs[..., :left.shape[-1]] -= mul(up, y)
+        rhs[..., 1:] -= mul(lo, y[..., :right.shape[-1]])
     try:
-        x = np.linalg.solve(last, rhs)
+        x = np.linalg.solve(last[..., 0], rhs[..., 0])[..., None]
     except np.linalg.LinAlgError:
         raise _singular(len(levels)) from None
     for _, left, right, _, _ in reversed(levels):
-        ko, nr = left.shape[1], right.shape[1]
-        rows = x.shape[1] + ko
-        mul = _ops(rows, x.shape[2])[1]
+        ko, nr = left.shape[-1], right.shape[-1]
+        rows = x.shape[-1] + ko
+        mul = _product(rows, m)
         y = ys.pop()
-        full = np.empty_like(y, shape=(len(x), rows) + y.shape[2:])  # y's layout
-        full[:, 0::2] = x
-        np.subtract(y, mul(left, x[:, :ko]), out=full[:, 1::2])
-        full[:, 1:2 * nr:2] -= mul(right, x[:, 1:nr + 1])
+        full = np.empty(y.shape[:-1] + (rows,))
+        full[..., 0::2] = x
+        np.subtract(y, mul(left, x[..., :ko]), out=full[..., 1::2])
+        full[..., 1:2 * nr:2] -= mul(right, x[..., 1:nr + 1])
         x = full
-    return np.ascontiguousarray(x[..., 0])
+    return np.ascontiguousarray(x[:, :, 0].transpose(0, 2, 1))

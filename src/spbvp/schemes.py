@@ -434,16 +434,18 @@ def _stack_group(ops) -> tuple[BlockTridiag, np.ndarray]:
     """One stack of operators of one m, and its right-hand sides.
 
     Operators of one size stack as they are (a stack of one is a view).
-    1x1 operators of several sizes are padded to the longest: the stack is
-    allocated once, and each member's extra rows are identity rows with
-    zero couplings and a zero rhs, which no elimination step couples to
-    the member's own rows."""
+    Operators of several sizes are padded to the longest: the stack is
+    allocated once, node-axis-last, and each member's extra rows are
+    identity rows with zero couplings and a zero rhs, which no elimination
+    step couples to the member's own rows."""
     rows = max(op.n_nodes for op in ops)
     if all(op.n_nodes == rows for op in ops):
         return stack(op.matrix for op in ops), stack(op.rhs for op in ops)
-    k = len(ops)
-    diag, rhs = np.ones((k, rows, 1, 1)), np.zeros((k, rows, 1))
-    sub, sup = np.zeros((k, rows - 1, 1, 1)), np.zeros((k, rows - 1, 1, 1))
+    k, m = len(ops), ops[0].m
+    diag, sub, sup = (np.zeros((k, m, m, n)).transpose(0, 3, 1, 2)  # node-last
+                      for n in (rows, rows - 1, rows - 1))
+    diag[:] = np.eye(m)
+    rhs = np.zeros((k, rows, m))
     for c, op in enumerate(ops):
         n = op.n_nodes
         diag[c, :n], sub[c, :n - 1], sup[c, :n - 1] = (
@@ -462,17 +464,13 @@ def solve_many(ops) -> list[DiscreteSolution]:
     """Solve several operators in a few stacked reductions, and guard each
     solution.
 
-    The operators go to one ``block_thomas`` call per stack: all 1x1
-    operators (scalar problems) share one stack, padded to the longest with
-    identity rows, zero couplings and zero rhs, and the operators of each
-    (n_nodes, m) with m >= 2 share another.  Padding is bitwise: every term
-    it adds to the elimination and to the matrix-vector product is a
-    product with a zero coupling, and a member's rows keep their places, so
-    each member is eliminated exactly as it is alone.  It is nearly free
-    for 1x1 blocks, whose every level is one numpy call over all rows
-    whatever their count; an m >= 2 level narrower than the kernel's wide
-    threshold costs a LAPACK/BLAS call per block, so padding those would
-    pay for every identity block.  A stack of one is a view of its
+    The operators of each block size m go to one ``block_thomas`` call,
+    as one stack padded to the longest with identity rows, zero couplings
+    and zero rhs.  Padding is bitwise: every term it adds to the
+    elimination and to the matrix-vector product is a product with a zero
+    coupling, a member's rows keep their places, and the kernel rounds a
+    block the same whatever the row count of its level, so each member is
+    eliminated exactly as it is alone.  A stack of one is a view of its
     operator, so a single solve copies nothing.  A singular pivot block in
     any system of a stack raises SingularMatrixError for the call.  The
     boundary rows are identity rows with zero couplings, so the solution
@@ -494,9 +492,9 @@ def solve_many(ops) -> list[DiscreteSolution]:
     """
     ops = list(ops)
     first: list = [None] * len(ops)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, op in enumerate(ops):  # every 1x1 operator joins one padded stack
-        groups.setdefault((0, 1) if op.m == 1 else (op.n_nodes, op.m), []).append(i)
+    groups: dict[int, list[int]] = {}
+    for i, op in enumerate(ops):  # the operators of each m share one padded stack
+        groups.setdefault(op.m, []).append(i)
     for idx in groups.values():
         mat, rhs = _stack_group([ops[i] for i in idx])
         u = block_thomas(mat, rhs)

@@ -8,8 +8,9 @@ import pytest
 from spbvp import linalg
 from spbvp.harness import mesh_family, problem_family
 from spbvp.linalg import BlockTridiag, SingularMatrixError, block_thomas, stack
+from spbvp.meshes import uniform_mesh
 from spbvp.problems import builtin_scalar_cd
-from spbvp.schemes import assemble
+from spbvp.schemes import DiscreteOperator, _stack_group, assemble
 
 
 def random_tridiag(rng, n):
@@ -204,9 +205,9 @@ _NARROW = [("strongly-coupled-2x2", "uniform", "ias", 1024)] + [
 
 @pytest.mark.parametrize("problem, mesh, scheme, n", _NARROW)
 def test_node_last_operator_solves_bitwise_as_row_major(problem, mesh, scheme, n):
-    # narrow m >= 2 levels copy the operator's level-0 couplings row-major:
-    # their block products round differently on strided blocks (the ias
-    # system at N = 1024 solves differently without that copy)
+    # narrow levels add elementwise products, which round alike in every
+    # layout, and wide levels copy operands whose rows are more than two
+    # items apart before einsum reads them, so no layout changes a solve
     op = assembled(problem, None, mesh, scheme, n)
     want = block_thomas(row_major(op.matrix), op.rhs)
     assert np.array_equal(block_thomas(op.matrix, op.rhs), want)
@@ -270,7 +271,7 @@ def pivoting_blocks(rng, n, m):
 def test_wide_inverse_swaps_rows_per_block(m):
     rng = np.random.default_rng(31)
     blocks = pivoting_blocks(rng, 4096, m)
-    got = linalg._cm_inv(blocks)
+    got = linalg._cm_inv(blocks.transpose(1, 2, 0)[None])[0].transpose(2, 0, 1)
     assert np.allclose(got, np.linalg.inv(blocks), rtol=1e-12, atol=1e-13)
 
 
@@ -289,13 +290,13 @@ def test_wide_levels_with_row_swaps_match_dense(monkeypatch, m):
     assert np.allclose(block_thomas(mat, rhs), ref, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [9, 2 * linalg._WIDE + 1])
+@pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("row, level", [(2, 1), (4, 2)])
-def test_singular_pivot_names_its_level(m, row, level):
+def test_singular_pivot_names_its_level(n, m, row, level):
     # uncoupled blocks: level k pivots on the original rows that are
-    # 2^k mod 2^(k+1).  With 4097 rows levels 0 and 1 run component-major
-    # and level 2 batched.
-    n = 2 * linalg._WIDE + 1
+    # 2^k mod 2^(k+1).  With 9 rows every level is narrow; with 4097 rows
+    # levels 0 and 1 are wide and level 2 narrow.
     diag = np.tile(np.eye(m), (n, 1, 1))
     diag[row] = np.ones((m, m)) if m > 1 else 0.0
     empty = np.zeros((n - 1, m, m))
@@ -304,10 +305,9 @@ def test_singular_pivot_names_its_level(m, row, level):
         block_thomas(mat, np.ones((n, m)))
 
 
-def test_scalar_wide_levels_bitwise_equal_to_batched(monkeypatch):
-    # 1x1 blocks run elementwise at every level and round as the batched
-    # LAPACK/BLAS and the component-major block kernels do, so a scalar
-    # solve is the same whichever kernel each level would pick
+def test_scalar_solve_bitwise_equal_with_every_level_wide(monkeypatch):
+    # 1x1 blocks take elementwise products at every level, so a scalar
+    # solve is the same whatever the wide threshold
     problem, _ = builtin_scalar_cd(1e-6)
     op = assemble(problem, mesh_family("shishkin")(problem, 4096), "simple-upwind")
     rng = np.random.default_rng(41)
@@ -316,38 +316,79 @@ def test_scalar_wide_levels_bitwise_equal_to_batched(monkeypatch):
         sub=lower.reshape(-1, 1, 1), diag=diag.reshape(-1, 1, 1), sup=upper.reshape(-1, 1, 1)
     )
     cases = [(op.matrix, op.rhs), (scalar, rng.uniform(-1.0, 1.0, (1025, 1)))]
-    elementwise = [block_thomas(mat, rhs) for mat, rhs in cases]
-    for ops in (
-        (np.linalg.inv, np.matmul, np.ndarray.copy),
-        (linalg._cm_inv, linalg._cm_matmul, linalg._cm_copy),
-    ):
-        levels = []
-
-        def select(rows, m, ops=ops):
-            levels.append(rows)
-            return ops
-
-        monkeypatch.setattr(linalg, "_ops", select)
-        for (mat, rhs), want in zip(cases, elementwise):
-            assert np.array_equal(block_thomas(mat, rhs), want)
-        assert 4097 in levels and 1025 in levels
+    default = [block_thomas(mat, rhs) for mat, rhs in cases]
+    monkeypatch.setattr(linalg, "_WIDE", 2)
+    for (mat, rhs), want in zip(cases, default):
+        assert np.array_equal(block_thomas(mat, rhs), want)
 
 
-def test_scalar_solve_calls_no_block_inverse_or_product(monkeypatch):
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("rows", [2, 3, 1023, 1024, linalg._WIDE, 4100])
+def test_wide_einsum_rounds_as_the_elementwise_sum(m, rows):
+    # padding moves a member's levels across _WIDE, so the two block
+    # products must agree bit for bit on every operand a wide level passes
+    # einsum: contiguous component vectors or every other row of them
+    rng = np.random.default_rng(rows + m)
+    for k in (1, 4, 15):
+        for q in (m, 1):  # block times block, block times vector
+            a = rng.uniform(-1.0, 1.0, (k, m, m, 2 * rows))
+            b = rng.uniform(-1.0, 1.0, (k, m, q, 2 * rows))
+            for sl in (slice(rows), slice(0, None, 2)):
+                x, y = a[..., sl], b[..., sl]
+                got = linalg._einsum_product(x, y)
+                assert np.array_equal(got, linalg._elementwise_product(x, y)), (k, q, sl)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_padded_block_stack_equals_each_solve_alone(m):
+    # members on both sides of _WIDE: padded to 4100 rows, the 2049-row
+    # member's level 1 is wide in the stack and narrow alone
+    # (with einsum at every level, the m = 3 stack rounds one member apart)
+    rng = np.random.default_rng(67 + m)
+    sizes = (3, 97, 769, 2049, 4100, 97)
+    mats = [random_block_system(rng, n, m) for n in sizes]
+    ops = [
+        DiscreteOperator(matrix=mat, rhs=rng.uniform(-1e3, 1e3, (n, m)),
+                         mesh=uniform_mesh(n - 1), scheme_tag="random")
+        for mat, n in zip(mats, sizes)
+    ]
+    mat, rhs = _stack_group(ops)
+    assert mat.diag.shape == (6, 4100, m, m)
+    got = block_thomas(mat, rhs)
+    residual = mat.matvec(got) - rhs
+    for c, op in enumerate(ops):
+        n = op.n_nodes
+        alone = block_thomas(op.matrix, op.rhs)
+        assert got[c, :n].tobytes() == alone.tobytes(), (m, n)
+        assert residual[c, :n].tobytes() == (op.matrix.matvec(alone) - op.rhs).tobytes()
+        assert not got[c, n:].any()
+
+
+def test_zero_block_rows_and_empty_stacks_are_refused():
+    empty = np.zeros((0, 2, 2))
+    with pytest.raises(ValueError, match="needs at least one block row"):
+        BlockTridiag(sub=empty, diag=empty, sup=empty)
+    with pytest.raises(ValueError, match="needs at least one block row"):
+        BlockTridiag(sub=np.zeros((3, 0, 1, 1)), diag=np.zeros((3, 0, 1, 1)),
+                     sup=np.zeros((3, 0, 1, 1)))
+    with pytest.raises(ValueError, match="at least one item"):
+        stack([])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_solve_calls_no_lapack_inverse_or_block_matmul(monkeypatch, m):
+    # every level inverts and multiplies blocks component-major
     def refuse(*args, **kwargs):
-        raise AssertionError("a 1x1 block went through a block kernel")
+        raise AssertionError("a block went through a LAPACK/BLAS block kernel")
 
     monkeypatch.setattr(np.linalg, "inv", refuse)
     monkeypatch.setattr(np, "matmul", refuse)
     rng = np.random.default_rng(43)
     for n in (3, 1025, 2 * linalg._WIDE + 1):  # the last one has wide levels
-        lower, diag, upper = random_tridiag(rng, n)
-        rhs = rng.uniform(-1.0, 1.0, n)
-        x = thomas(lower, diag, upper, rhs)
-        r = diag * x
-        r[1:] += lower * x[:-1]
-        r[:-1] += upper * x[1:]
-        assert np.allclose(r, rhs, rtol=0.0, atol=1e-13)
+        mat = random_block_system(rng, n, m)
+        rhs = rng.uniform(-1.0, 1.0, (n, m))
+        x = block_thomas(mat, rhs)
+        assert np.allclose(mat.matvec(x), rhs, rtol=0.0, atol=1e-13)
 
 
 def test_block_matvec_consistent_with_dense():

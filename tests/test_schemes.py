@@ -490,12 +490,13 @@ def test_solve_many_stacks_each_size_once_and_equals_solve(monkeypatch):
         for n in (16, 32):
             ops.append(assemble(problem, mesh_family("shishkin")(problem, n), "simple-upwind"))
     problem, _ = builtin_reaction_diffusion_system(eps=(1e-6, 1e-4))
-    ops.append(assemble(problem, mesh_family("system-shishkin")(problem, 24), "central"))
+    for n in (24, 42):
+        ops.append(assemble(problem, mesh_family("system-shishkin")(problem, n), "central"))
     alone = [solve(op) for op in ops]
     calls = _count_kernel_calls(monkeypatch)
     together = solve_many(ops)
-    # the 1x1 systems share one stack padded to 33 rows; m = 2 stacks per n
-    assert sorted(calls) == [25, 33]
+    # one padded stack per m: the 1x1 systems to 33 rows, the m = 2 ones to 43
+    assert sorted(calls) == [33, 43]
     for a, b in zip(alone, together):
         assert np.array_equal(a.values, b.values)
         assert a.residual == b.residual and a.mesh is b.mesh
