@@ -107,7 +107,7 @@ def _cmd_solve(args) -> int:
 def _cmd_check(args) -> int:
     problem = _load_problem(args)
     report = stability_report(problem)
-    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", args.out)
     return 0
 
 

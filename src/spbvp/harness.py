@@ -118,15 +118,14 @@ def corrected_rate(
 
 
 def _eps_key(eps) -> tuple[float, ...]:
-    if isinstance(eps, (int, float)):
-        key = (float(eps),)
-    else:
-        key = tuple(float(e) for e in eps)
+    key = (eps,) if isinstance(eps, (int, float, str, np.bool_)) else tuple(eps)
     if not key:
         raise ValueError("an eps vector needs at least one value")
-    for e in key:
-        check_eps(e)
-    return key
+    for e in key:  # True must not run as eps = 1, nor "1e-4" parse as a number
+        if isinstance(e, (bool, np.bool_, str)):
+            raise ValueError(f"eps values must be numbers, got {e!r}")
+        check_eps(float(e))
+    return tuple(map(float, key))
 
 
 def _n_key(n) -> int:

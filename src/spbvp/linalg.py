@@ -9,11 +9,15 @@ numpy call and each still rounds as it does alone.  The kernel always works
 on a stack: a single system enters as a stack of one, which is a view of
 its arrays, not a copy.
 
-An assembled operator stores each block diagonal node-axis-last: its
-(n, m, m) arrays are transposed views of (m, m, n) memory, in which every
-block entry is one contiguous vector over the nodes.  ``matvec`` and the
-solver run over those vectors, and ``stack`` keeps its members' layout.
-For m = 1 both layouts are the same memory.
+Every array of a solve is stored node-axis-last: an assembled operator's
+(n, m, m) block diagonals are transposed views of (m, m, n) memory, and
+its (n, m) right-hand side, the solution and every ``matvec`` product are
+views of (m, n) memory, so every block or vector entry is one contiguous
+vector over the nodes.  ``matvec`` and the solver run over those vectors
+and return node-last views; ``stack`` keeps its members' layout.  Other
+layouts are accepted: the kernel copies an operator or right-hand side
+node-last once, at entry, and ``matvec`` its vector.  For m = 1 both
+layouts are the same memory.
 
 The reduction runs component-major at every level and every block size:
 each level works on (k, m, m, rows) views of its blocks, in which each of
@@ -26,10 +30,10 @@ for 1x1 blocks), and a block product is a sum of products of these vectors:
   every row of every system, so each element rounds the same whatever the
   row count, the stack or the memory layout;
 - at a wider level of m >= 2 blocks, each system's product is one
-  ``einsum`` pass, which allocates no temporary per term.  On rows at most
-  two items apart it rounds exactly as the elementwise sums do (the test
-  suite pins this); other operands are copied component-major first.  The
-  first level reads a node-last operator's couplings in place.
+  ``einsum`` pass, which allocates no temporary per term.  Its operands
+  are contiguous component vectors or every other row of them, on which it
+  rounds exactly as the elementwise sums do (the test suite pins this).
+  The first level reads a node-last operator and right-hand side in place.
 
 So a system rounds alike in every layout and in every stack, also one
 padded past ``_WIDE`` rows with identity blocks.
@@ -95,12 +99,12 @@ class BlockTridiag:
             raise ValueError(f"vector must be {want}, got {v.shape}")
         # blocks.swapaxes(-3, -1)[..., j, i, r] is entry (i, j) of block r, so
         # each product runs over the contiguous node vectors of a node-last
-        # operator and allocates nothing block-sized
+        # operator and vector and allocates nothing block-sized
         vt = np.ascontiguousarray(v.swapaxes(-1, -2))  # (..., m, n)
-        out = np.einsum("...jir,...jr->...ir", self.diag.swapaxes(-3, -1), vt)
+        out = np.einsum("...jir,...jr->...ir", self.diag.swapaxes(-3, -1), vt, order="C")
         out[..., 1:] += np.einsum("...jir,...jr->...ir", self.sub.swapaxes(-3, -1), vt[..., :-1])
         out[..., :-1] += np.einsum("...jir,...jr->...ir", self.sup.swapaxes(-3, -1), vt[..., 1:])
-        return np.ascontiguousarray(out.swapaxes(-1, -2))
+        return out.swapaxes(-1, -2)
 
     def to_dense(self) -> np.ndarray:
         n, m = self.n, self.m
@@ -130,8 +134,9 @@ def block_thomas(mat: BlockTridiag, rhs: np.ndarray) -> np.ndarray:
     reduction.
 
     ``rhs`` is (n, m) for one system and (k, n, m) for a stack of k; the
-    solution has the shape of ``rhs``.  The systems of a stack are
-    eliminated independently, each as it would be alone, so a stacked solve
+    solution has the shape of ``rhs``, as a node-last view whatever the
+    layout of ``rhs``.  The systems of a stack are eliminated
+    independently, each as it would be alone, so a stacked solve
     equals its members' solves bit for bit.
 
     Each level eliminates the odd-numbered block rows of the current
@@ -158,13 +163,12 @@ def block_thomas(mat: BlockTridiag, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != mat.diag.shape[:-1]:
         raise ValueError(f"rhs must be {mat.diag.shape[:-1]}, got {rhs.shape}")
-    shape = rhs.shape
     if mat.diag.ndim == 3:  # a stack of one, as views
-        mat, rhs = stack([mat]), rhs[None]
+        return block_thomas(stack([mat]), rhs[None])[0]
     factor = _factor(mat)
     x = _apply(factor, rhs)
     x -= _apply(factor, mat.matvec(x) - rhs)
-    return x.reshape(shape)
+    return x
 
 
 def _singular(level: int) -> SingularMatrixError:
@@ -184,14 +188,6 @@ def _singular(level: int) -> SingularMatrixError:
 _WIDE = 2048
 
 
-def _cm(a: np.ndarray) -> np.ndarray:
-    """a itself if its rows are at most two items apart (a node-last
-    operator's blocks, and every other row of them), else a component-major
-    copy: einsum runs about 10x slower on wider strides (a row-major operator
-    or right-hand side), and the copy costs about as much as one product."""
-    return a if a.strides[-1] <= 2 * a.itemsize else a.copy()
-
-
 def _einsum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for (k, p, q, rows) and (k, q, r, rows) stacks of blocks, as
     sums of products of component vectors in one einsum pass per system.
@@ -200,7 +196,6 @@ def _einsum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order than a system's own einsum does when its rows are few, so each
     system gets its own call, on the arrays it would have alone.
     """
-    a, b = _cm(a), _cm(b)
     out = np.empty((len(a), a.shape[1], b.shape[2], a.shape[3]))
     for s in range(len(a)):
         np.einsum("iqk,qjk->ijk", a[s], b[s], out=out[s])
@@ -220,8 +215,10 @@ def _elementwise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product(rows: int, m: int):
-    """The block product of a level of `rows` block rows of m x m blocks."""
+def _product(level: np.ndarray):
+    """The block product of a level, read off any (k, m, q, rows) array of
+    it: the level's `rows` block rows of m x m blocks."""
+    m, rows = level.shape[1], level.shape[-1]
     return _einsum_product if m > 1 and rows >= _WIDE else _elementwise_product
 
 
@@ -272,12 +269,12 @@ def _cm_inv(blocks: np.ndarray) -> np.ndarray:
 def _factor(mat: BlockTridiag) -> tuple[list, np.ndarray]:
     """Per-level (inv, left, right, lo, up) of the reduction, and the last
     block of each system."""
-    sub, diag, sup = (a.transpose(0, 2, 3, 1) for a in (mat.sub, mat.diag, mat.sup))
-    m = diag.shape[1]
+    sub, diag, sup = (np.ascontiguousarray(a.transpose(0, 2, 3, 1))  # a copy unless node-last
+                      for a in (mat.sub, mat.diag, mat.sup))
     levels = []
     try:
         while (rows := diag.shape[-1]) > 1:
-            mul = _product(rows, m)
+            mul = _product(diag)
             ko = rows // 2  # odd rows
             nr = (rows - 1) // 2  # odd rows with a right neighbour
             inv = _cm_inv(diag[..., 1::2])
@@ -302,11 +299,10 @@ def _apply(factor: tuple[list, np.ndarray], rhs: np.ndarray) -> np.ndarray:
     """Forward sweep, last-block solve and back substitution for a (k, n, m)
     stack of right-hand sides."""
     levels, last = factor
-    rhs = rhs.transpose(0, 2, 1)[:, :, None]  # (k, m, 1, n): block products below
-    m = rhs.shape[1]
+    rhs = np.ascontiguousarray(rhs.transpose(0, 2, 1))[:, :, None]  # (k, m, 1, n), as in _factor
     ys = []
     for inv, left, right, lo, up in levels:
-        mul = _product(rhs.shape[-1], m)
+        mul = _product(rhs)
         y = mul(inv, rhs[..., 1::2])
         ys.append(y)
         rhs = rhs[..., 0::2].copy()
@@ -318,12 +314,11 @@ def _apply(factor: tuple[list, np.ndarray], rhs: np.ndarray) -> np.ndarray:
         raise _singular(len(levels)) from None
     for _, left, right, _, _ in reversed(levels):
         ko, nr = left.shape[-1], right.shape[-1]
-        rows = x.shape[-1] + ko
-        mul = _product(rows, m)
         y = ys.pop()
-        full = np.empty(y.shape[:-1] + (rows,))
+        full = np.empty(y.shape[:-1] + (x.shape[-1] + ko,))
+        mul = _product(full)
         full[..., 0::2] = x
         np.subtract(y, mul(left, x[..., :ko]), out=full[..., 1::2])
         full[..., 1:2 * nr:2] -= mul(right, x[..., 1:nr + 1])
         x = full
-    return np.ascontiguousarray(x[:, :, 0].transpose(0, 2, 1))
+    return x[:, :, 0].transpose(0, 2, 1)  # node-last

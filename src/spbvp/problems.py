@@ -147,6 +147,10 @@ class SystemProblem:
                 object.__setattr__(self, name, np.zeros(self.m))
             elif g.shape != (self.m,):
                 raise ValueError(f"{name} must have shape ({self.m},)")
+        for name, v in (("a", self.a.constant), ("b", getattr(self.b, "constant", None)),
+                        ("f", self.f.constant), ("g0", self.g0), ("g1", self.g1)):
+            if v is not None and not np.isfinite(v).all():  # json reads NaN, Infinity, 1e400
+                raise ValueError(f"{name} must hold finite numbers, got {v.tolist()}")
 
     def _require_diagonal_b(self) -> None:
         if self.b.is_constant:
@@ -182,13 +186,13 @@ def _grid() -> np.ndarray:
     return np.linspace(0.0, 1.0, _SAMPLE_POINTS)
 
 
-def _inverse_min(matrix: np.ndarray, notes: list[str]) -> float:
-    """Smallest entry of the inverse; -inf, with a note, when it is singular."""
+def _inverse_min(matrix: np.ndarray, notes: list[str]) -> float | None:
+    """Smallest entry of the inverse; None (JSON null), with a note, if singular."""
     try:
         return float(np.linalg.inv(matrix).min())
     except np.linalg.LinAlgError:
         notes.append("comparison matrix is singular")
-        return -math.inf
+        return None
 
 
 def check_gamma(problem: SystemProblem) -> dict:
@@ -226,7 +230,7 @@ def check_gamma(problem: SystemProblem) -> dict:
     report = {
         "gamma_matrix": gamma.tolist(),
         "gamma_inverse_min": inv_min,
-        "gamma_monotone": inv_min >= -1e-12,
+        "gamma_monotone": inv_min is not None and inv_min >= -1e-12,
         "zeta": zeta,
         "diag_dominant": zeta < 1.0,
         "notes": notes,
@@ -274,7 +278,7 @@ def check_upsilon(problem: SystemProblem, c: np.ndarray | None = None) -> dict:
         "upsilon_matrix": upsilon.tolist(),
         "upsilon_inverse_min": inv_min,
         "upsilon_row_sum_min": row_min,
-        "upsilon_monotone": inv_min >= -1e-12 and row_min > 0.0,
+        "upsilon_monotone": inv_min is not None and inv_min >= -1e-12 and row_min > 0.0,
         "upsilon_heuristic": heuristic,
         "notes": notes,
     }

@@ -10,12 +10,13 @@ boundary rows of every scheme: identity blocks carrying the Dirichlet data.
 Assembly runs on stacks of cells: ``assemble_many`` builds the operators of
 k cells of one size (the eps cells of one N) with every array carrying a
 leading cell axis, so each numpy call serves all k cells, and ``assemble``
-is ``assemble_many`` of one cell.  Every block diagonal is allocated and
-written node-axis-last, (k, m, m, rows), so each numpy call of the assembly
-and of the residual guard runs over contiguous node vectors; coefficients
-evaluated as (k, rows, m, m) are added through transposed views.  Each
-cell's ``BlockTridiag`` carries (rows, m, m) views of its slice of that
-memory.  Likewise ``solve_many`` solves and guards stacks of operators, and
+is ``assemble_many`` of one cell.  Every block diagonal and right-hand
+side is allocated and written node-axis-last, (k, m, m, rows) and
+(k, m, rows), so each numpy call of the assembly, the solve and the
+residual guard runs over contiguous node vectors; coefficients evaluated as
+(k, rows, m, m) are added through transposed views.  Each cell's
+``BlockTridiag``, rhs and solution are views of node-last memory.
+Likewise ``solve_many`` solves and guards stacks of operators, and
 ``solve`` is ``solve_many`` of one.
 """
 from __future__ import annotations
@@ -49,7 +50,7 @@ class DiscreteOperator:
     """Assembled block-tridiagonal system with boundary identity rows."""
 
     matrix: BlockTridiag
-    rhs: np.ndarray  # (N+1, M)
+    rhs: np.ndarray  # (N+1, M), a view of node-last (M, N+1) memory
     mesh: Mesh1D
     scheme_tag: str
 
@@ -66,7 +67,7 @@ class DiscreteOperator:
 class DiscreteSolution:
     """Nodal solution with provenance and the row-scaled solver residual."""
 
-    values: np.ndarray  # (N+1, M)
+    values: np.ndarray  # (N+1, M), a view of node-last (M, N+1) memory
     mesh: Mesh1D
     scheme_tag: str
     residual: float
@@ -382,9 +383,9 @@ def assemble_many(problems, meshes, scheme: str) -> list[DiscreteOperator]:
     if {(p.kind, p.m, len(mesh.points)) for p, mesh in zip(problems, meshes)} != {
             (problems[0].kind, m, n_nodes)}:
         raise ValueError("the cells of one assembly must share kind, m and node count")
-    # every block array is stored node-axis-last, (k, m, m, rows)
+    # every array is stored node-axis-last, (k, m, m, rows) and (k, m, rows)
     sub, sup = np.zeros((k, m, m, n_nodes - 1)), np.zeros((k, m, m, n_nodes - 1))
-    diag, rhs = np.zeros((k, m, m, n_nodes)), np.zeros((k, n_nodes, m))
+    diag, rhs = np.zeros((k, m, m, n_nodes)), np.zeros((k, m, n_nodes)).transpose(0, 2, 1)
     x = stack([mesh.points for mesh in meshes])
     h = stack([mesh.spacings for mesh in meshes])
     build(problems, x, h, sub, diag, sup, rhs)
@@ -445,7 +446,7 @@ def _stack_group(ops) -> tuple[BlockTridiag, np.ndarray]:
     diag, sub, sup = (np.zeros((k, m, m, n)).transpose(0, 3, 1, 2)  # node-last
                       for n in (rows, rows - 1, rows - 1))
     diag[:] = np.eye(m)
-    rhs = np.zeros((k, rows, m))
+    rhs = np.zeros((k, m, rows)).transpose(0, 2, 1)  # node-last
     for c, op in enumerate(ops):
         n = op.n_nodes
         diag[c, :n], sub[c, :n - 1], sup[c, :n - 1] = (

@@ -535,6 +535,49 @@ def test_problem_file_coefficients_must_have_the_problem_shape(change, message, 
     assert _run(capsys, "solve", "--problem", str(path), "--mesh", "uniform")[0] == 0
 
 
+@pytest.mark.parametrize("change, message", [
+    # json reads NaN, Infinity and 1e400 (as inf); none may reach a solve
+    ({"a": [[float("nan"), 0.0], [0.0, 2.0]]}, "a must hold finite numbers, got [[nan, 0.0]"),
+    ({"b": [[1.0, 0.0], [0.0, float("-inf")]]}, "b must hold finite numbers"),
+    ({"f": [float("inf"), 1.0]}, "f must hold finite numbers, got [inf, 1.0]"),
+    ({"g0": [0.0, float("nan")]}, "g0 must hold finite numbers, got [0.0, nan]"),
+    ({"g1": ["1e400", 0.0]}, "g1 must hold finite numbers, got [inf, 0.0]"),
+    # eps keeps the message of every other eps check
+    ({"eps": [float("nan"), 1e-3]}, "eps must be finite and positive, got nan"),
+], ids=["nan-a", "inf-b", "inf-f", "nan-g0", "overflow-g1", "nan-eps"])
+def test_problem_file_numbers_must_be_finite(change, message, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    # "1e400" unquoted: a number json reads as inf
+    path.write_text(json.dumps({**_SYSTEM_FILE, **change}).replace('"1e400"', "1e400"))
+    for command in ("solve", "check"):
+        code, out, err = _run(capsys, command, "--problem", str(path))
+        assert code == 3 and out == "" and message in err and "warning" not in err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("spec, section", [
+    ({"kind": "reaction-diffusion", "a": [[1.0, 1.0], [1.0, 1.0]]}, "gamma"),
+    # |a_12| + sup |b_12| = 1 off the diagonal: upsilon is [[1, -1], [-1, 1]]
+    ({"kind": "strongly-coupled-cd", "a": [[1.0, 0.5], [0.5, 1.0]],
+      "b": [[1.0, 0.5], [0.5, 1.0]]}, "upsilon"),
+], ids=["gamma", "upsilon"])
+def test_check_prints_null_for_a_singular_comparison_matrix(spec, section, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"m": 2, "eps": [1e-3, 1e-3], "f": [1.0, 1.0], **spec}))
+    code, out, err = _run(capsys, "check", "--problem", str(path))
+    assert code == 0 and err == ""
+    data = _strict_json(out)
+    assert data[f"{section}_inverse_min"] is None
+    assert data[f"{section}_monotone"] is False
+    assert "comparison matrix is singular" in data["notes"]
+
+
 @pytest.mark.parametrize("extra, message", [
     ({"N_list": [[64]]}, "N_list and eps_list must hold numbers"),
     ({"eps_list": [None]}, "N_list and eps_list must hold numbers"),
@@ -542,7 +585,11 @@ def test_problem_file_coefficients_must_have_the_problem_shape(change, message, 
     # a non-integral N must not truncate to N = 16 or read true as N = 1
     ({"N_list": [16.7, 32.9]}, "N values must be integers, got 16.7"),
     ({"N_list": [True, 8]}, "N values must be integers, got True"),
-], ids=["nested-N", "null-eps", "numeric-output", "fractional-N", "bool-N"])
+    # nor must true run as eps = 1, or a string parse as eps
+    ({"eps_list": [[True], ["1e-4"]]}, "eps values must be numbers, got True"),
+    ({"eps_list": [1e-3, "1e-4"]}, "eps values must be numbers, got '1e-4'"),
+], ids=["nested-N", "null-eps", "numeric-output", "fractional-N", "bool-N", "bool-eps",
+        "string-eps"])
 def test_study_malformed_config_values_exit_3(extra, message, tmp_path, capsys):
     cfg = {"problem": "scalar-cd", "scheme": "simple-upwind", "mesh": "shishkin",
            "N_list": [16], "eps_list": [1e-3], **extra}

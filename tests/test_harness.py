@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -751,6 +752,37 @@ def test_n_values_must_be_integers():
     cfg = StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
                       n_list=(16.0, np.int64(32)), eps_list=((1e-3,),))
     assert cfg.n_list == (16, 32) and all(type(n) is int for n in cfg.n_list)
+
+
+def test_eps_values_must_be_numbers():
+    # one validator for configs, sweeps, reports, records and problem
+    # families: True must not run as eps = 1, nor "1e-4" parse as a number
+    built = []
+
+    def family(eps):
+        built.append(eps)
+        return problem_family("scalar-cd")(eps)
+
+    for bad in (True, np.bool_(True), "1e-4"):
+        message = re.escape(f"eps values must be numbers, got {bad!r}")
+        for eps in (bad, (bad,), [1e-3, bad]):
+            with pytest.raises(ValueError, match=message):
+                StudyConfig(problem="scalar-cd", scheme="simple-upwind", mesh="shishkin",
+                            n_list=(16, 32), eps_list=((1e-3,), eps))
+            with pytest.raises(ValueError, match=message):
+                sweep(family, mesh_family("shishkin"), "simple-upwind", [16], [1e-3, eps])
+            with pytest.raises(ValueError, match=message):
+                ConvergenceReport(family="f", scheme="central", n_list=(16,),
+                                  eps_list=(eps,), records=())
+            with pytest.raises(ValueError, match=message):
+                ErrorRecord(n=16, eps=eps, err_max=0.1)
+            with pytest.raises(ValueError, match=message):
+                problem_family("scalar-cd")(eps)
+            with pytest.raises(ValueError, match=message):
+                problem_family("reaction-diffusion")(eps)
+    assert built == []  # refused before any problem is built
+    assert problem_family("scalar-cd")(np.float64(1e-3))[0].eps == (1e-3,)
+    assert ErrorRecord(n=16, eps=np.array([1e-3, 1]), err_max=0.1).eps == (1e-3, 1.0)
 
 
 def test_report_record_does_not_truncate_n():

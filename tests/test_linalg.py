@@ -10,7 +10,8 @@ from spbvp.harness import mesh_family, problem_family
 from spbvp.linalg import BlockTridiag, SingularMatrixError, block_thomas, stack
 from spbvp.meshes import uniform_mesh
 from spbvp.problems import builtin_scalar_cd
-from spbvp.schemes import DiscreteOperator, _stack_group, assemble
+from spbvp.schemes import (DiscreteOperator, _stack_group, apply, assemble, solve,
+                           solve_many)
 
 
 def random_tridiag(rng, n):
@@ -180,11 +181,17 @@ def test_block_tridiag_keeps_the_float_arrays_it_checked():
     assert view.diag is blocks and view.sub is edge
 
 
+def node_last(a):
+    """True if a's node axis (the second to last) is its contiguous one."""
+    return a.strides[-2] == a.itemsize
+
+
 def assembled(problem, eps, mesh, scheme, n):
     prob, _ = problem_family(problem)(eps)
     op = assemble(prob, mesh_family(mesh)(prob, n), scheme)
     for a in (op.matrix.sub, op.matrix.diag, op.matrix.sup):
         assert a.transpose(1, 2, 0).flags.c_contiguous  # (m, m, rows) memory
+    assert op.rhs.T.flags.c_contiguous  # (m, rows) memory
     return op
 
 
@@ -192,25 +199,28 @@ def row_major(mat):
     return BlockTridiag(*(np.ascontiguousarray(a) for a in (mat.sub, mat.diag, mat.sup)))
 
 
-_NARROW = [("strongly-coupled-2x2", "uniform", "ias", 1024)] + [
+_LAYOUTS = [("strongly-coupled-2x2", "uniform", "ias", n) for n in (1024, 4096)] + [
     (problem, "system-shishkin", scheme, n)
     for problem, schemes in (
         ("weakly-coupled-cd", ("simple-upwind", "midpoint-upwind", "galerkin-fem")),
         ("reaction-diffusion", ("central", "galerkin-fem")),
     )
     for scheme in schemes
-    for n in (96, 192, 384, 768)
+    for n in (96, 192, 384, 768, 4104)
 ]
 
 
-@pytest.mark.parametrize("problem, mesh, scheme, n", _NARROW)
+@pytest.mark.parametrize("problem, mesh, scheme, n", _LAYOUTS)
 def test_node_last_operator_solves_bitwise_as_row_major(problem, mesh, scheme, n):
-    # narrow levels add elementwise products, which round alike in every
-    # layout, and wide levels copy operands whose rows are more than two
-    # items apart before einsum reads them, so no layout changes a solve
+    # the kernel copies a row-major operator or rhs component-major once, at
+    # entry; from there every product rounds as it does on a node-last one,
+    # on narrow levels (n < _WIDE) and on wide ones
     op = assembled(problem, None, mesh, scheme, n)
-    want = block_thomas(row_major(op.matrix), op.rhs)
-    assert np.array_equal(block_thomas(op.matrix, op.rhs), want)
+    want = block_thomas(op.matrix, op.rhs)
+    assert node_last(want)
+    for mat in (op.matrix, row_major(op.matrix)):
+        for rhs in (op.rhs, np.ascontiguousarray(op.rhs)):
+            assert np.array_equal(block_thomas(mat, rhs), want)
 
 
 @pytest.mark.parametrize("n", [384, 4104])
@@ -222,34 +232,64 @@ def test_stack_of_node_last_operators_solves_each_alone(n):
     mats = stack(op.matrix for op in ops)
     for a in (mats.sub, mats.diag, mats.sup):
         assert a.transpose(0, 2, 3, 1).flags.c_contiguous
-    got = block_thomas(mats, stack(op.rhs for op in ops))
+    rhs = stack(op.rhs for op in ops)
+    assert rhs.transpose(0, 2, 1).flags.c_contiguous
+    got = block_thomas(mats, rhs)
+    assert node_last(got) and node_last(mats.matvec(got))
     for op, u in zip(ops, got):
         assert np.array_equal(u, block_thomas(op.matrix, op.rhs))
 
 
-@pytest.mark.parametrize("problem, eps, mesh, scheme", [
+_WIDE_OPERATORS = [
     ("strongly-coupled-2x2", None, "uniform", "ias"),
     ("reaction-diffusion", (1e-4, 1e-6, 1e-8), "system-shishkin", "central"),
-])
-def test_wide_solve_copies_no_coupling_of_an_assembled_operator(
+]
+
+
+@pytest.mark.parametrize("problem, eps, mesh, scheme", _WIDE_OPERATORS)
+def test_assembled_operator_and_rhs_enter_the_kernel_uncopied(
     monkeypatch, problem, eps, mesh, scheme
 ):
+    # the first level inverts the operator's own pivot blocks and hands
+    # einsum its couplings and rhs in place: no layout copy on the way
     op = assembled(problem, eps, mesh, scheme, 4096)
-    blocks = (op.matrix.sub, op.matrix.diag, op.matrix.sup)
-    reads, copies = [], []
-    cm = linalg._cm
+    arrays = {"sub": op.matrix.sub, "diag": op.matrix.diag, "sup": op.matrix.sup,
+              "rhs": op.rhs}
+    read = set()
 
-    def recording(a):
-        t = cm(a)
-        if any(np.shares_memory(a, b) for b in blocks):
-            reads.append(a.shape)
-            if not np.shares_memory(t, a):
-                copies.append(a.shape)
-        return t
+    def record(*operands):
+        read.update(name for name, a in arrays.items()
+                    if any(np.shares_memory(a, b) for b in operands))
 
-    monkeypatch.setattr(linalg, "_cm", recording)
+    cm_inv, einsum = linalg._cm_inv, np.einsum
+
+    def inverting(blocks):
+        record(blocks)
+        return cm_inv(blocks)
+
+    def multiplying(subscripts, *operands, **kwargs):
+        if subscripts == "iqk,qjk->ijk":  # the kernel's block products
+            record(*operands)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(linalg, "_cm_inv", inverting)
+    monkeypatch.setattr(np, "einsum", multiplying)
     block_thomas(op.matrix, op.rhs)
-    assert reads and not copies
+    assert read == set(arrays)
+
+
+@pytest.mark.parametrize("problem, eps, mesh, scheme", _WIDE_OPERATORS + [
+    ("weakly-coupled-cd", (1e-3, 1e-5), "system-shishkin", "galerkin-fem"),
+])
+def test_solutions_and_products_are_node_last(problem, eps, mesh, scheme):
+    op = assembled(problem, eps, mesh, scheme, 96)
+    small = assembled(problem, eps, mesh, scheme, 48)
+    values = solve(op).values
+    assert node_last(values) and node_last(op.matrix.matvec(values))
+    assert node_last(apply(op, np.ascontiguousarray(values)))
+    # members of a padded stack are views of node-last memory too
+    for sol in solve_many([small, op]):
+        assert node_last(sol.values)
 
 
 # ---------------------------------------------------------------------------

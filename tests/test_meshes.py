@@ -150,6 +150,20 @@ def test_right_layer_mesh_is_the_mirror_of_its_left_mesh(family, eps, n):
     assert right.meta == left.meta
 
 
+@pytest.mark.xfail(strict=True, reason="a right layer is mirrored to x = 1 as 1 - x, and "
+                   "float64 rounds its layer widths there (ROADMAP item 2)")
+def test_right_layer_widths_are_the_left_widths_reversed():
+    # the right-layer mesh is built silently, but its layer cells are not
+    # the left mesh's: measured 0.28 relative at eps = 1e-15, n = 64 and
+    # 1.1e-3 at eps = 1e-10, n = 65536
+    worst = 0.0
+    for eps, n in ((1e-15, 64), (1e-10, 65536)):
+        left = system_shishkin([LayerSpec(eps, side="left")], n).spacings
+        right = system_shishkin([LayerSpec(eps, side="right")], n).spacings[::-1]
+        worst = max(worst, float(np.max(np.abs(right - left) / left)))
+    assert worst <= 1e-12
+
+
 def test_shishkin_rejects_odd_n():
     with pytest.raises(ValueError):
         shishkin(LayerSpec(eps=1e-4), 63)

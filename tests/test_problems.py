@@ -1,4 +1,5 @@
 """Problem containers, stability pre-checks, envelopes, built-in references."""
+import dataclasses
 import json
 import math
 
@@ -48,6 +49,16 @@ def _rd_problem(a_matrix, eps=(1e-4, 1e-2)):
 
 # ---------------------------------------------------------------------------
 # coefficients and problem validation
+
+
+def test_problem_constants_and_boundary_data_must_be_finite():
+    with pytest.raises(ValueError, match=r"a must hold finite numbers, got \[\[nan, 0.0\]"):
+        _rd_problem([[math.nan, 0.0], [0.0, 1.0]])
+    good = _rd_problem(np.eye(2))
+    for name in ("f", "g0", "g1"):
+        with pytest.raises(ValueError, match=rf"{name} must hold finite numbers, got \[inf, 0.0\]"):
+            value = np.array([math.inf, 0.0])
+            dataclasses.replace(good, **{name: coefficient(value, (2,)) if name == "f" else value})
 
 
 def test_coefficient_requires_exactly_one_source():
