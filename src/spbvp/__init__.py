@@ -10,6 +10,7 @@ from .harness import (
     ErrorRecord,
     StudyConfig,
     corrected_rate,
+    energy_norm_error,
     max_norm_error,
     mesh_family,
     problem_family,
@@ -54,7 +55,6 @@ from .schemes import (
     DiscreteSolution,
     assemble,
     discrete_solve,
-    energy_norm_error,
     solve,
     solve_many,
 )

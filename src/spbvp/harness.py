@@ -38,7 +38,8 @@ from .problems import (
     default_envelope,
 )
 from . import schemes
-from .schemes import SCHEME_TAGS, DiscreteSolution, energy_norm_error
+from .quadrature import gauss_legendre_cells
+from .schemes import SCHEME_TAGS, DiscreteSolution
 
 __all__ = [
     "CSV_HEADER",
@@ -52,6 +53,7 @@ __all__ = [
     "STUDIES",
     "StudyConfig",
     "corrected_rate",
+    "energy_norm_error",
     "max_norm_error",
     "mesh_family",
     "problem_family",
@@ -74,8 +76,6 @@ RATE_TARGETS: dict[str, Callable[[int], float]] = {
     "n_inv_log": lambda n: math.log(n) / n,
     "n_inv_log_sq": lambda n: (math.log(n) / n) ** 2,
 }
-
-NORMS = ("max", "energy")
 
 
 def _phi(n: int) -> float:
@@ -237,7 +237,7 @@ class ConvergenceReport:
         column per eps; nan where a cell produced no error."""
         errs = []
         for r in self.records:
-            e = r.err_energy if self.norm == "energy" else r.err_max
+            e = r.err_max if self.norm == "max" else r.err_energy
             errs.append(math.nan if r.failure is not None or e is None else e)
         k = len(self.eps_list)
         return [errs[i : i + k] for i in range(0, len(errs), k)]
@@ -328,6 +328,34 @@ def max_norm_error(sol: DiscreteSolution, ref: ReferenceSolution) -> float:
     return float(np.max(np.abs(sol.values - exact)))
 
 
+def energy_norm_error(mesh: Mesh1D, v: np.ndarray, ref: ReferenceSolution, eps) -> float:
+    """Energy-norm error sqrt(sum_k eps_k |u_k - v_k|_1^2 + ||u - v||_0^2) of nodal
+    data v, (N+1, m) as a linear interpolant, by 6-point Gauss per cell."""
+    m = v.shape[1]
+    nodes, weights = gauss_legendre_cells(mesh.points, 6)
+    flat = nodes.ravel()
+    # the derivative first: it refuses a reference that has none
+    up = ref.derivative(flat, 1).reshape(nodes.shape + (m,))
+    u = ref(flat).reshape(nodes.shape + (m,))
+    slope = np.diff(v, axis=0) / mesh.spacings[:, None]  # (cells, m)
+    lin = v[:-1, None, :] + (nodes - mesh.points[:-1, None])[:, :, None] * slope[:, None, :]
+    diff = u - lin
+    diffp = up - slope[:, None, :]
+    semi = np.einsum("cg,cgk->k", weights, diffp * diffp)
+    l2 = np.einsum("cg,cgk->k", weights, diff * diff)
+    return float(math.sqrt(float(np.sum(np.multiply(eps, semi) + l2))))
+
+
+# Study norms by name, as (solution, problem, reference) -> error: err_max holds
+# max, err_energy any other norm, which integrates the reference's derivative.
+# Each looks its measure up per call, so rebinding it (tracing) takes effect.
+NORMS: dict[str, Callable[[DiscreteSolution, SystemProblem, ReferenceSolution], float]] = {
+    "max": lambda sol, problem, ref: max_norm_error(sol, ref),
+    "energy": lambda sol, problem, ref: energy_norm_error(
+        sol.mesh, sol.values, ref, problem.diffusion),
+}
+
+
 def _attempt(step, *args):
     """step(*args), or the exception it raised: a failed cell is recorded,
     not fatal."""
@@ -388,31 +416,26 @@ def sweep(
     call; every cell of the sweep is solved in one ``schemes.solve_many``
     call (one padded stack per block size) and measured in order.  A
     failed cell becomes a record with the exception text instead of
-    aborting the sweep, the same record it gets when run alone.  err_energy
-    is computed only for norm="energy".
+    aborting the sweep, the same record it gets when run alone.  ``NORMS``
+    measures err_max always, and err_energy in any norm but max.
     """
     if scheme not in SCHEME_TAGS:
         raise ValueError(f"scheme must be one of {SCHEME_TAGS}, got {scheme!r}")
     ns, epss = _grid(n_list, eps_list, target, norm)
     pairs = [problem_family(e) for e in epss]
     bare = [ref.kind for _, ref in pairs if ref.derivative_fn is None]
-    if norm == "energy" and bare:
-        raise ValueError(f"norm 'energy' needs the reference's derivative; "
+    if norm != "max" and bare:
+        raise ValueError(f"norm {norm!r} needs the reference's derivative; "
                          f"the {bare[0]} reference has none")
 
     def failed(n: int, eps: tuple[float, ...], exc: Exception) -> ErrorRecord:
         return ErrorRecord(n=n, eps=eps, failure=f"{type(exc).__name__}: {exc}")
 
     def measure(n, eps, problem, ref, sol: DiscreteSolution) -> ErrorRecord:
-        mesh = sol.mesh
-        return ErrorRecord(
-            n=n,
-            eps=eps,
-            err_max=max_norm_error(sol, ref),
-            err_energy=(energy_norm_error(mesh, sol.values, ref, problem.diffusion)
-                        if norm == "energy" else None),
-            q=float(mesh.spacings.max()),
-        )
+        err_max = NORMS["max"](sol, problem, ref)
+        err_energy = None if norm == "max" else NORMS[norm](sol, problem, ref)
+        return ErrorRecord(n=n, eps=eps, err_max=err_max, err_energy=err_energy,
+                           q=float(sol.mesh.spacings.max()))
 
     records = []
     cells = [(n, eps, *pair) for n in ns for eps, pair in zip(epss, pairs)]

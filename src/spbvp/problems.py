@@ -260,15 +260,18 @@ def check_upsilon(problem: SystemProblem, c: np.ndarray | None = None) -> dict:
     x = _grid()
     b_vals = problem.b(x)
     a_vals = problem.a(x)
-    if problem.b.is_constant:
-        b_prime = np.zeros_like(b_vals)
-    else:
-        b_prime = np.gradient(b_vals, x, axis=0)
     idx = np.arange(problem.m)
-    l1 = np.trapezoid(np.abs(b_prime + a_vals), x, axis=0)
-    sup_b = np.abs(b_vals).max(axis=0)
-    upsilon = -cs[:, None] * (l1 + sup_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if problem.b.is_constant:
+            b_prime = np.zeros_like(b_vals)
+        else:
+            b_prime = np.gradient(b_vals, x, axis=0)
+        l1 = np.trapezoid(np.abs(b_prime + a_vals), x, axis=0)
+        sup_b = np.abs(b_vals).max(axis=0)
+        upsilon = -cs[:, None] * (l1 + sup_b)
     upsilon[idx, idx] = 1.0
+    if not np.all(np.isfinite(upsilon)):
+        raise ValueError("upsilon entries overflow float64: scale a and b down")
     notes: list[str] = []
     inv_min = _inverse_min(upsilon, notes)
     row_min = float(upsilon.sum(axis=1).min())
@@ -335,10 +338,18 @@ class ReferenceSolution:
 
     def derivative(self, x: np.ndarray, order: int = 1) -> np.ndarray:
         if self.derivative_fn is None:
-            raise ValueError(f"{self.label}: no analytic derivative available")
+            raise ValueError(f"{self.label}: the reference has no analytic derivatives")
         if order not in (1, 2):
             raise ValueError(f"order must be 1 or 2, got {order}")
         return self.derivative_fn(np.atleast_1d(np.asarray(x, dtype=float)), order)
+
+
+def check_symmetric(b: np.ndarray) -> None:
+    """Refuse B, or B at each node, unless max|B - B^T| <= 1e-10 * max(1, max|B|)."""
+    scale = np.maximum(1.0, np.max(np.abs(b), axis=(-2, -1)))
+    asym = np.max(np.max(np.abs(b - np.swapaxes(b, -1, -2)), axis=(-2, -1)) / scale)
+    if asym > 1e-10:
+        raise ValueError(f"convection matrix must be symmetric (relative asymmetry {asym:.3e})")
 
 
 def default_envelope(problem: SystemProblem) -> tuple[LayerSpec, ...]:
@@ -374,8 +385,7 @@ def _envelope(problem: SystemProblem) -> tuple[LayerSpec, ...]:
     if not problem.b.is_constant:
         raise ValueError("default envelope for strong coupling needs constant convection")
     b = problem.b.constant
-    if np.max(np.abs(b - b.T)) > 1e-10 * max(1.0, float(np.max(np.abs(b)))):
-        raise ValueError("default envelope for strong coupling needs symmetric convection")
+    check_symmetric(b)
     lam = np.linalg.eigvalsh(b)
     if np.any(np.abs(lam) < 1e-14):
         raise ValueError("convection matrix has a zero eigenvalue; no exponential layers")
@@ -681,13 +691,21 @@ def _is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _floats(name: str, value) -> np.ndarray:
+    """Checked JSON numbers as floats; an int beyond float64 is a TypeError."""
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise TypeError(f"{name} holds a number beyond the float64 range") from None
+
+
 def _vector(name: str, value, m: int) -> np.ndarray:
     """A JSON list of m numbers as an array; anything else is a TypeError,
     so a scalar cannot broadcast and a string cannot parse as a number."""
     if not (isinstance(value, (list, tuple)) and len(value) == m
             and all(map(_is_number, value))):
         raise TypeError(f"{name} must be a list of {m} numbers, got {value!r}")
-    return np.array(value, dtype=float)
+    return _floats(name, value)
 
 
 def _matrix(name: str, value, m: int) -> np.ndarray:
@@ -697,7 +715,7 @@ def _matrix(name: str, value, m: int) -> np.ndarray:
         for row in value
     )):
         raise TypeError(f"{name} must be {m} lists of {m} numbers, got {value!r}")
-    return np.array(value, dtype=float)
+    return _floats(name, value)
 
 
 def problem_from_dict(data: dict) -> SystemProblem:
@@ -723,7 +741,7 @@ def problem_from_dict(data: dict) -> SystemProblem:
         if not isinstance(eps, (list, tuple)) or not all(map(_is_number, eps)):
             raise TypeError(f"eps must be a list of numbers, got {eps!r}")
         m = int(m)
-        eps = tuple(float(e) for e in eps)
+        eps = tuple(_floats("eps", eps).tolist())
         kind = str(data["kind"])
         a = coefficient(_matrix("a", data["a"], m), (m, m))
         f = coefficient(_vector("f", data["f"], m), (m,))

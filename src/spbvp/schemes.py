@@ -29,8 +29,7 @@ import numpy as np
 
 from .linalg import BlockTridiag, block_thomas, stack
 from .meshes import Mesh1D
-from .problems import KINDS, ReferenceSolution, SystemProblem
-from .quadrature import gauss_legendre_cells
+from .problems import KINDS, SystemProblem, check_symmetric
 
 __all__ = [
     "SCHEME_TAGS",
@@ -42,7 +41,6 @@ __all__ = [
     "solve",
     "solve_many",
     "discrete_solve",
-    "energy_norm_error",
 ]
 
 @dataclass(frozen=True)
@@ -286,13 +284,7 @@ def _assemble_ias(problems, x, h_all, sub, diag, sup, rhs):
     # a constant B is checked and decomposed once, not at every node
     constant = all(p.b.is_constant for p in problems)
     b_node = np.array([p.b.constant for p in problems]) if constant else b_vals
-    for bc in b_node:
-        asym = np.max(np.abs(bc - np.swapaxes(bc, -1, -2)))
-        if asym > 1e-10:
-            raise ValueError(
-                f"convection matrix must be symmetric at every node "
-                f"(max asymmetry {asym:.3e})"
-            )
+    check_symmetric(b_node)
 
     lam, p = np.linalg.eigh(b_node)
     cell = (k,) + (1,) * (lam.ndim - 1)  # a per-cell value against lam
@@ -537,38 +529,3 @@ def discrete_solve(
 ) -> DiscreteSolution:
     """Assemble and solve in one call."""
     return solve(assemble(problem, mesh, scheme))
-
-
-# ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-
-def energy_norm_error(
-    mesh: Mesh1D,
-    v: np.ndarray,
-    ref: ReferenceSolution,
-    eps,
-    order: int = 6,
-) -> float:
-    """Energy-norm distance between nodal data v (as a linear interpolant)
-    and a reference with analytic first derivative, by per-cell Gauss."""
-    if ref.derivative_fn is None:
-        raise ValueError("energy-norm error needs a reference with derivatives")
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    m = v.shape[1]
-    eps_arr = np.broadcast_to(np.asarray(eps, dtype=float).ravel(), (m,))
-    nodes, weights = gauss_legendre_cells(mesh.points, order)
-    flat = nodes.ravel()
-    u = ref(flat).reshape(nodes.shape + (m,))
-    up = ref.derivative(flat, 1).reshape(nodes.shape + (m,))
-    h = mesh.spacings[:, None]
-    slope = np.diff(v, axis=0) / h  # (cells, m)
-    lin = v[:-1, None, :] + (nodes - mesh.points[:-1, None])[:, :, None] * slope[:, None, :]
-    diff = u - lin
-    diffp = up - slope[:, None, :]
-    semi = np.einsum("cg,cgk->k", weights, diffp * diffp)
-    l2 = np.einsum("cg,cgk->k", weights, diff * diff)
-    return float(math.sqrt(float(np.sum(eps_arr * semi + l2))))

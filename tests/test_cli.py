@@ -554,6 +554,39 @@ def test_problem_file_numbers_must_be_finite(change, message, tmp_path, capsys):
         assert code == 3 and out == "" and message in err and "warning" not in err
 
 
+_BEYOND_FLOAT64 = 10**400  # json reads and writes it as an exact int
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"a": [[_BEYOND_FLOAT64, 0.0], [0.0, 2.0]]}, "a"),
+    ({"b": [[1.0, 0.0], [0.0, -_BEYOND_FLOAT64]]}, "b"),
+    ({"f": [1.0, _BEYOND_FLOAT64]}, "f"),
+    ({"g0": [_BEYOND_FLOAT64, 0.0]}, "g0"),
+    ({"eps": [1e-4, _BEYOND_FLOAT64]}, "eps"),
+], ids=["a", "b", "f", "g0", "eps"])
+def test_problem_file_integers_beyond_float64_are_config_errors(change, key, tmp_path,
+                                                                capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**_SYSTEM_FILE, **change}))
+    for command in (("check",), ("solve", "--mesh", "uniform", "--n", "8")):
+        code, out, err = _run(capsys, *command, "--problem", str(path))
+        assert code == 3 and out == ""
+        assert err == (f"error: malformed problem dict: {key} holds a number beyond "
+                       "the float64 range\n")
+
+
+def test_check_refuses_convection_data_whose_upsilon_overflows(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "m": 2, "eps": [1e-3, 1e-3], "kind": "strongly-coupled-cd",
+        "a": [[1e308, 1e308], [1e308, 1e308]], "b": [[1e308, 1e308], [1e308, 1e308]],
+        "f": [1.0, 1.0]}))
+    code, out, err = _run(capsys, "check", "--problem", str(path))
+    # no numpy overflow warning, and a message that names the fields
+    assert code == 3 and out == ""
+    assert err == "error: upsilon entries overflow float64: scale a and b down\n"
+
+
 def _strict_json(text):
     def refuse(constant):
         raise ValueError(f"{constant} is not standard JSON")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spbvp
 from spbvp import harness, problems, schemes
 from spbvp.harness import (
     ConvergenceReport,
@@ -410,6 +411,34 @@ def test_sweep_records_a_warning_raised_as_error_per_cell(monkeypatch):
     assert [r.failure for r in rep.records] == [
         "UserWarning: convection coefficient of component 0 changes sign on the mesh; "
         "upwinding per node"] * 4
+
+
+def test_norms_table_measures_every_cell_through_names_read_at_call_time(monkeypatch):
+    assert list(harness.NORMS) == ["max", "energy"]
+    assert spbvp.energy_norm_error is harness.energy_norm_error
+    # schemes discretizes and solves; harness measures
+    assert not hasattr(schemes, "energy_norm_error")
+    calls = {"max_norm_error": 0, "energy_norm_error": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(harness, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(harness, name, counting)
+    family, meshes = problem_family("scalar-cd"), mesh_family("shishkin")
+    by_norm = {norm: sweep(family, meshes, "galerkin-fem", (16, 32), ((1e-3,), (1e-5,)),
+                           norm=norm) for norm in harness.NORMS}
+    assert calls == {"max_norm_error": 8, "energy_norm_error": 4}
+    # err_max in every norm, err_energy only in the norms other than max
+    assert [r.err_max for r in by_norm["max"].records] == [
+        r.err_max for r in by_norm["energy"].records]
+    assert all(r.err_energy is None for r in by_norm["max"].records)
+    for rec in by_norm["energy"].records:
+        problem, ref = family(rec.eps)
+        sol = discrete_solve(problem, meshes(problem, rec.n), "galerkin-fem")
+        assert rec.err_energy == harness.NORMS["energy"](sol, problem, ref)
+    assert by_norm["energy"].uniform_errors() == tuple(
+        max(r.err_energy for r in by_norm["energy"].records if r.n == n) for n in (16, 32))
 
 
 def test_sweep_rejects_energy_norm_without_reference_derivative(monkeypatch):

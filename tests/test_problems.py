@@ -490,6 +490,34 @@ def test_strongly_coupled_variable_against_sympy_oracle():
         np.testing.assert_allclose(prob.f(xs), sym(f), rtol=1e-12, atol=1e-12 * scale)
 
 
+def test_strongly_coupled_2x2_against_sympy_oracle():
+    sp = pytest.importorskip("sympy")
+    x = sp.symbols("x")
+    B = sp.Matrix([[-3, -4], [-4, 3]])
+    for eps in (sp.Rational(1, 10), sp.Rational(1, 50)):
+        e0, e1 = sp.exp(-5 * x / eps), sp.exp(-5 * (1 - x) / eps)
+        u = (sp.Matrix([8, 4]) - x * sp.Matrix([11, -2]) - e0 * sp.Matrix([8, 4])
+             + e1 * sp.Matrix([3, -6])) / 25
+        # the interior residual is identically zero
+        residual = -eps * u.diff(x, 2) + B * u.diff(x) - sp.Matrix([1, 2])
+        assert sp.simplify(residual) == sp.zeros(2, 1)
+        _, ref = builtin_strongly_coupled_example(float(eps))
+        xs = np.linspace(0.0, 1.0, 29)
+
+        def sym(expr):
+            fn = sp.lambdify(x, expr.T, "numpy")
+            return np.array([np.asarray(fn(v), dtype=float).ravel() for v in xs])
+
+        scale = 1.0 / float(eps) ** 2
+        np.testing.assert_allclose(ref(xs), sym(u), rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(
+            ref.derivative(xs, 1), sym(u.diff(x)), rtol=1e-13, atol=1e-14 * scale
+        )
+        np.testing.assert_allclose(
+            ref.derivative(xs, 2), sym(u.diff(x, 2)), rtol=1e-13, atol=1e-14 * scale
+        )
+
+
 def test_oracle_builtins_defer_and_round_counts():
     prob, ref = builtin_reaction_diffusion_system()
     assert ref.kind == "oracle"

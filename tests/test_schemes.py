@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spbvp import schemes
-from spbvp.harness import MESH_TAGS, PROBLEMS, mesh_family, problem_family, sweep
+from spbvp.harness import (
+    MESH_TAGS, PROBLEMS, energy_norm_error, mesh_family, problem_family, sweep,
+)
 from spbvp.linalg import BlockTridiag, block_thomas
 from spbvp.meshes import LayerSpec, system_shishkin, uniform_mesh
 from spbvp.problems import (
@@ -21,6 +24,7 @@ from spbvp.problems import (
     builtin_scalar_cd,
     builtin_strongly_coupled_example,
     coefficient,
+    default_envelope,
 )
 from spbvp.schemes import (
     SCHEME_TAGS,
@@ -29,7 +33,6 @@ from spbvp.schemes import (
     assemble,
     assemble_many,
     discrete_solve,
-    energy_norm_error,
     solve,
     solve_many,
     _fitting_factor,
@@ -300,6 +303,41 @@ def test_ias_rejects_nonuniform_multiparameter_asymmetric_and_diffusion():
         assemble(skewed, uniform_mesh(8), "ias")
     with pytest.raises(ValueError, match="scheme 'ias' serves .*; the problem is reaction-diffusion"):
         assemble(_scalar_rd(), uniform_mesh(8), "ias")
+
+
+def _convection_2x2(b):
+    return SystemProblem(
+        m=2,
+        eps=(1e-3, 1e-3),
+        kind="strongly-coupled-cd",
+        b=coefficient(b, (2, 2)),
+        a=coefficient(np.zeros((2, 2)), (2, 2)),
+        f=coefficient(np.ones(2), (2,)),
+    )
+
+
+def test_envelope_and_ias_share_one_relative_symmetry_check():
+    def skewed(d):
+        return np.array([[-3.0, -4.0], [-4.0 - d, 3.0]])
+
+    # 3e-10 is within 1e-10 * max|B| = 4e-10, for the constant B and per node
+    near = _convection_2x2(skewed(3e-10))
+    assert math.isclose(default_envelope(near)[0].gamma, 5.0, rel_tol=1e-9)
+    assemble(near, uniform_mesh(8), "ias")
+    per_node = _convection_2x2(lambda x: np.broadcast_to(skewed(3e-10), (len(x), 2, 2)))
+    assemble(per_node, uniform_mesh(8), "ias")
+    # 1e-8 / max|B| = 2.5e-9 is not
+    message = re.escape("convection matrix must be symmetric (relative asymmetry 2.500e-09)")
+    far = _convection_2x2(skewed(1e-8))
+    with pytest.raises(ValueError, match=message):
+        default_envelope(far)
+    with pytest.raises(ValueError, match=message):
+        assemble(far, uniform_mesh(8), "ias")
+    # per node, the bound scales with that node's own entries
+    one_node = _convection_2x2(lambda x: np.where(
+        (np.abs(x - 0.5) < 0.1)[:, None, None], skewed(1e-8), skewed(0.0)))
+    with pytest.raises(ValueError, match=message):
+        assemble(one_node, uniform_mesh(8), "ias")
 
 
 def test_ias_is_nodally_exact_on_constant_coefficient_2x2():
